@@ -5,10 +5,12 @@ Each test prints one PASS line on success (run with ``pytest -s`` or
 numbered so the suite reads as the release checklist.
 """
 
+import hashlib
 import math
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,10 @@ from sdnmanet.topology import NoRouteError, generate_erdos_renyi
 
 from test_econ import closed_form_crossover
 from test_topology import brute_force_min_cost
+
+#: The reference sweep's outputs (calibrated defaults, seed 42): both CSV
+#: files verbatim and the SHA-256 of each chart, in ``sha256sum`` format.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +240,13 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
     for name in names:
         with open(os.path.join(out_a, name), "rb") as fa, open(os.path.join(out_b, name), "rb") as fb:
             assert fa.read() == fb.read(), f"{name} differs between runs"
+    for name in ("metrics.csv", "comparison.csv"):
+        assert Path(out_a, name).read_bytes() == (GOLDEN / name).read_bytes(), \
+            f"{name} differs from tests/golden/{name}"
+    for line in (GOLDEN / "charts.sha256").read_text(encoding="utf-8").splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256(Path(out_a, name).read_bytes()).hexdigest() == digest, \
+            f"{name} differs from its pinned SHA-256"
     assert max(durations) < 60.0
-    print(f"ACCEPTANCE 11 PASS: byte-identical outputs across runs "
-          f"({len(names)} files); sweep times {durations[0]:.1f} s / {durations[1]:.1f} s")
+    print(f"ACCEPTANCE 11 PASS: byte-identical outputs across runs and against the golden "
+          f"pin ({len(names)} files); sweep times {durations[0]:.1f} s / {durations[1]:.1f} s")
