@@ -117,6 +117,28 @@ def capacity_traditional(
     )
 
 
+def effective_capacity(
+    mode: str,
+    t: Topology,
+    mean_speed: float,
+    params: OverheadParams,
+    controller_capacity: float,
+    window_s: float,
+) -> CapacityBreakdown:
+    """Capacity breakdown of ``t`` in ``mode``, which the caller has checked.
+
+    The pairwise overhead rate over ``window_s`` comes off the node
+    capacities: scaled by the flooding multiplier in traditional mode, with
+    the controller's capacity added in SDN mode.
+    """
+    packets = pairwise_packet_count(t, mean_speed, params, window_s)
+    rate = overhead_bits(packets, params) / window_s
+    caps = [node.capacity_bps for node in t.nodes]
+    if mode == "sdn":
+        return capacity_sdn(caps, controller_capacity, rate)
+    return capacity_traditional(caps, params.flood_multiplier * rate)
+
+
 def capacity_total(clustered: float, sliced: float) -> float:
     """Combined capacity of the clustered and sliced portions."""
     if clustered < 0 or sliced < 0:
@@ -156,13 +178,7 @@ def max_supported_nodes(
 
     def supportable(n: int) -> bool:
         t = topology_generator(n)
-        packets = pairwise_packet_count(t, mean_speed, params, window_s=1.0)
-        rate = overhead_bits(packets, params)
-        caps = [node.capacity_bps for node in t.nodes]
-        if mode == "sdn":
-            breakdown = capacity_sdn(caps, controller_capacity, rate)
-        else:
-            breakdown = capacity_traditional(caps, params.flood_multiplier * rate)
+        breakdown = effective_capacity(mode, t, mean_speed, params, controller_capacity, 1.0)
         return breakdown.effective >= n * per_node_demand
 
     if not supportable(1):

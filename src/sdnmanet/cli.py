@@ -15,25 +15,23 @@ Exit codes: 0 success, 1 config error, 2 runtime/model error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
-from . import capacity as cap
 from . import econ
 from . import resources as res
 from .charts import line_chart
 from .config import ConfigError, parse_config
 from .report import (
-    format_value,
     render_comparison_csv,
+    render_csv,
     render_metrics_csv,
     render_single_metrics_csv,
 )
 from .simulator import (
     MODES,
     ScenarioConfig,
+    capacity_breakdown,
     compare,
     evolve_topology,
     run_scenario,
@@ -57,15 +55,6 @@ def _note(args: argparse.Namespace, message: str) -> None:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
-
-
-def _csv_table(header: list[str], rows: list[list[object]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_value(v) for v in row])
-    return buffer.getvalue()
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -143,25 +132,18 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         ["opex_reduction", 1.0 - opex_sdn / opex_trad],
         ["crossover_n", crossover if crossover is not None else "never"],
     ]
-    sys.stdout.write(_csv_table(["metric", "value"], rows))
+    sys.stdout.write(render_csv(["metric", "value"], rows))
     return 0
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     topo = evolve_topology(cfg, args.n, cfg.seed)
-    packets = cap.pairwise_packet_count(topo, cfg.mean_speed_mps(), cfg.overhead, cfg.sim_duration_s)
-    rate = cap.overhead_bits(packets, cfg.overhead) / cfg.sim_duration_s
-    caps = [node.capacity_bps for node in topo.nodes]
-    breakdowns = {
-        "traditional": cap.capacity_traditional(caps, cfg.overhead.flood_multiplier * rate),
-        "sdn": cap.capacity_sdn(caps, cfg.controller_capacity_bps, rate),
-    }
-    rows = [
-        [mode, b.node_sum, b.controller, b.overhead, b.effective, b.saturated]
-        for mode, b in breakdowns.items()
-    ]
-    sys.stdout.write(_csv_table(
+    rows = []
+    for mode in MODES:
+        b = capacity_breakdown(cfg, mode, topo)
+        rows.append([mode, b.node_sum, b.controller, b.overhead, b.effective, b.saturated])
+    sys.stdout.write(render_csv(
         ["mode", "node_sum_bps", "controller_bps", "overhead_bps", "effective_bps", "saturated"],
         rows,
     ))
@@ -174,7 +156,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
         [n] + [res.utilization(kind, n, cfg.resources) for kind in res.RESOURCE_KINDS]
         for n in cfg.sweep_points()
     ]
-    sys.stdout.write(_csv_table(["n", "cpu_pct", "mem_pct", "net_pct", "storage_pct"], rows))
+    sys.stdout.write(render_csv(["n", "cpu_pct", "mem_pct", "net_pct", "storage_pct"], rows))
     return 0
 
 

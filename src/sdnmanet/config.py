@@ -3,14 +3,16 @@
 ``#`` starts a comment, blank lines are ignored, and keys are dotted paths
 mirroring ``ScenarioConfig`` fields (``controller.capacity_mu = 10``,
 ``topology.link_probability = 0.05``, or bare root fields such as
-``seed = 7``). Unknown keys, malformed values, and invariant violations are
-rejected with the offending key and line number. Absent keys keep the
-calibrated defaults, so an empty file is the reference scenario.
+``seed = 7``). Unknown keys, malformed or non-finite values, and invariant
+violations are rejected with the offending key and line number. Absent keys
+keep the calibrated defaults, so an empty file is the reference scenario.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 from typing import Any
 
 from .simulator import ScenarioConfig
@@ -18,6 +20,12 @@ from .simulator import ScenarioConfig
 
 class ConfigError(ValueError):
     """A scenario config file could not be parsed or validated."""
+
+
+#: Fields that are not keys, because the scenario derives them: the
+#: controller's queue horizon is the root ``sim_duration_s``, and the route
+#: break rate is ``simulator.rediscovery_rate`` at each node count.
+_DERIVED = ("controller.sim_duration_s", "routing.rediscovery_rate_per_s")
 
 
 def _field_registry() -> dict[str, tuple[str | None, str, type]]:
@@ -28,7 +36,8 @@ def _field_registry() -> dict[str, tuple[str | None, str, type]]:
         if default is not None and dataclasses.is_dataclass(default):
             for sub in dataclasses.fields(default):
                 key = f"{group_field.name}.{sub.name}"
-                registry[key] = (group_field.name, sub.name, type(getattr(default, sub.name)))
+                if key not in _DERIVED:
+                    registry[key] = (group_field.name, sub.name, type(getattr(default, sub.name)))
         else:
             registry[group_field.name] = (None, group_field.name, type(group_field.default))
     return registry
@@ -50,25 +59,26 @@ def _parse_value(raw: str, target: type, key: str, line_no: int, path: str) -> A
             if "." in raw or "e" in raw.lower():
                 raise ValueError(raw)
             return int(raw)
-        if target is float:
-            return float(raw)
-        return target(raw)
+        value = target(raw)
     except ValueError:
         raise ConfigError(
             f"{path}:{line_no}: value {raw!r} for key '{key}' is not a valid {target.__name__}"
         ) from None
+    if target is float and not math.isfinite(value):
+        raise ConfigError(f"{path}:{line_no}: value {raw!r} for key '{key}' is not finite")
+    return value
 
 
 def parse_config(path: str) -> ScenarioConfig:
     """Read, type-check, and validate a scenario config file."""
-    overrides: dict[str, Any] = {}
-    key_lines: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
+    cfg = ScenarioConfig()
+    key_lines: dict[str, int] = {}
     for line_no, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -78,34 +88,28 @@ def parse_config(path: str) -> ScenarioConfig:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in _REGISTRY:
             raise ConfigError(f"{path}:{line_no}: unknown key '{key}'")
-        if key in overrides:
+        if key in key_lines:
             raise ConfigError(f"{path}:{line_no}: duplicate key '{key}' (first set on line {key_lines[key]})")
-        _, _, target = _REGISTRY[key]
-        overrides[key] = _parse_value(raw, target, key, line_no, path)
         key_lines[key] = line_no
-
-    cfg = ScenarioConfig()
-    grouped: dict[str, dict[str, Any]] = {}
-    for key, value in overrides.items():
-        group, name, _ = _REGISTRY[key]
+        group, name, target = _REGISTRY[key]
+        value = _parse_value(raw, target, key, line_no, path)
         if group is None:
             setattr(cfg, name, value)
-        else:
-            grouped.setdefault(group, {})[name] = value
-    for group, values in grouped.items():
+            continue
+        # Every group checks each field on its own, so setting one key at a
+        # time fails on the key that is out of range.
         try:
-            setattr(cfg, group, dataclasses.replace(getattr(cfg, group), **values))
+            setattr(cfg, group, dataclasses.replace(getattr(cfg, group), **{name: value}))
         except ValueError as exc:
-            first_key = f"{group}.{next(iter(values))}"
-            raise ConfigError(
-                f"{path}:{key_lines[first_key]}: invalid '{group}' settings: {exc}"
-            ) from exc
+            raise ConfigError(f"{path}:{line_no}: invalid '{group}' settings: {exc}") from exc
 
     try:
+        # The controller queue runs over the scenario's horizon.
+        cfg.controller = dataclasses.replace(cfg.controller, sim_duration_s=cfg.sim_duration_s)
         cfg.validate()
     except ValueError as exc:
-        message = str(exc)  # begins with the offending dotted field path
-        culprit = next((k for k in key_lines if message.startswith(k)), None)
+        message = str(exc)  # names the offending field by its key
+        culprit = next((k for k in key_lines if re.search(rf"(?<![\w.]){re.escape(k)}\b", message)), None)
         where = f"{path}:{key_lines[culprit]}: " if culprit else f"{path}: "
         raise ConfigError(f"{where}{message}") from exc
     return cfg

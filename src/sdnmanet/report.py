@@ -3,26 +3,25 @@
 Fixed column order, RFC-4180-style rows (CRLF line endings, quoting only
 when needed), floats rendered with six significant digits and a ``.``
 decimal point regardless of locale, so identical runs produce identical
-bytes on every platform.
+bytes on every platform. The columns of each table are the fields of its
+record type, in declaration order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from dataclasses import fields
+from typing import Iterable
 
-from .simulator import ComparisonReport, MetricsReport
+from .simulator import ComparisonReport, ComparisonRow, MetricsReport
 
-METRICS_COLUMNS = (
-    "n", "mode", "latency_avg_ms", "latency_max_ms", "throughput_bps", "pdr",
-    "control_overhead_bits", "queue_backlog", "effective_capacity_bps",
-    "cpu_pct", "mem_pct", "net_pct", "storage_pct", "saturated",
-)
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 
-COMPARISON_COLUMNS = (
-    "n", "capex_reduction", "opex_reduction", "latency_reduction",
-    "throughput_gain", "pdr_delta", "overhead_ratio", "capacity_ratio",
-)
+COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
+
+#: Reads one cell back, by the declared type of its field.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda cell: cell == "true"}
 
 
 def format_value(value: object) -> str:
@@ -34,36 +33,36 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def metrics_row(report: MetricsReport) -> list[str]:
-    return [format_value(getattr(report, column)) for column in METRICS_COLUMNS]
+def render_csv(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
+    """A header line, then one line per row with every cell rendered by
+    ``format_value``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(value) for value in row])
+    return buffer.getvalue()
+
+
+def metrics_row(report: MetricsReport) -> list[object]:
+    """One report's values in ``METRICS_COLUMNS`` order."""
+    return [getattr(report, column) for column in METRICS_COLUMNS]
 
 
 def render_metrics_csv(pairs: list[tuple[MetricsReport, MetricsReport]]) -> str:
     """Metrics table: ascending n, traditional before sdn at each point."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(METRICS_COLUMNS)
-    for trad, sdn in pairs:
-        writer.writerow(metrics_row(trad))
-        writer.writerow(metrics_row(sdn))
-    return buffer.getvalue()
+    return render_csv(METRICS_COLUMNS, (metrics_row(report) for pair in pairs for report in pair))
 
 
 def render_comparison_csv(report: ComparisonReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(COMPARISON_COLUMNS)
-    for row in report.rows:
-        writer.writerow([format_value(getattr(row, column)) for column in COMPARISON_COLUMNS])
-    return buffer.getvalue()
+    return render_csv(
+        COMPARISON_COLUMNS,
+        ([getattr(row, column) for column in COMPARISON_COLUMNS] for row in report.rows),
+    )
 
 
 def render_single_metrics_csv(report: MetricsReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(METRICS_COLUMNS)
-    writer.writerow(metrics_row(report))
-    return buffer.getvalue()
+    return render_csv(METRICS_COLUMNS, [metrics_row(report)])
 
 
 def parse_metrics_csv(text: str) -> list[MetricsReport]:
@@ -72,25 +71,12 @@ def parse_metrics_csv(text: str) -> list[MetricsReport]:
     header = next(reader)
     if tuple(header) != METRICS_COLUMNS:
         raise ValueError(f"unexpected metrics header: {header}")
+    parsers = [_PARSERS[f.type] for f in fields(MetricsReport)]
     reports = []
     for row in reader:
         if not row:
             continue
-        values = dict(zip(METRICS_COLUMNS, row))
-        reports.append(MetricsReport(
-            n=int(values["n"]),
-            mode=values["mode"],
-            latency_avg_ms=float(values["latency_avg_ms"]),
-            latency_max_ms=float(values["latency_max_ms"]),
-            throughput_bps=float(values["throughput_bps"]),
-            pdr=float(values["pdr"]),
-            control_overhead_bits=float(values["control_overhead_bits"]),
-            queue_backlog=float(values["queue_backlog"]),
-            effective_capacity_bps=float(values["effective_capacity_bps"]),
-            cpu_pct=float(values["cpu_pct"]),
-            mem_pct=float(values["mem_pct"]),
-            net_pct=float(values["net_pct"]),
-            storage_pct=float(values["storage_pct"]),
-            saturated=values["saturated"] == "true",
-        ))
+        if len(row) != len(parsers):
+            raise ValueError(f"metrics row has {len(row)} fields, expected {len(parsers)}")
+        reports.append(MetricsReport(*(parse(cell) for parse, cell in zip(parsers, row))))
     return reports

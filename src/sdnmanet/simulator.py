@@ -18,7 +18,7 @@ the 50-node reference comparison lands on a 25% hardware-cost reduction,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import capacity as cap
 from . import controller as ctl
@@ -76,7 +76,6 @@ class ScenarioConfig:
     overhead: cap.OverheadParams = field(default_factory=cap.OverheadParams)
     costs: econ.CostParams = field(default_factory=econ.CostParams)
     resources: res.ResourceCurveParams = field(default_factory=res.ResourceCurveParams)
-    gains: cap.CapacityGains = field(default_factory=cap.CapacityGains)
 
     def validate(self) -> None:
         """Raise ValueError naming the offending dotted field path."""
@@ -93,13 +92,17 @@ class ScenarioConfig:
         if self.topology.node_capacity_bps <= 0:
             raise ValueError("topology.node_capacity_bps must be positive")
         if not 0.0 <= self.topology.speed_min_mps <= self.topology.speed_max_mps:
-            raise ValueError("topology.speed_min_mps/speed_max_mps must satisfy 0 <= min <= max")
+            raise ValueError(
+                "topology.speed_min_mps and topology.speed_max_mps must satisfy 0 <= min <= max"
+            )
         if self.topology.mobility_step_s <= 0:
             raise ValueError("topology.mobility_step_s must be positive")
         if self.seeds_per_point < 1:
             raise ValueError("seeds_per_point must be at least 1")
         if self.sim_duration_s <= 0:
             raise ValueError("sim_duration_s must be positive")
+        if self.controller.sim_duration_s != self.sim_duration_s:
+            raise ValueError("controller.sim_duration_s must equal sim_duration_s")
         if self.flow_samples < 1:
             raise ValueError("flow_samples must be at least 1")
         if self.per_node_demand_bps <= 0:
@@ -178,18 +181,16 @@ def rediscovery_rate(cfg: ScenarioConfig, n: int) -> float:
     return cfg.rediscovery_base_rate * speed_factor * (1.0 + n / 100.0)
 
 
-def pdr_model(mode: str, break_rate: float, repair_time_ms: float, window_s: float) -> float:
+def pdr_model(break_rate: float, repair_time_ms: float) -> float:
     """Packet delivery ratio when each break blacks a route out for the
     repair time: 1 - break_rate * repair_time.
 
     The observation window cancels out of the loss fraction (breaks scale
-    with the window exactly as delivered packets do), so it does not appear
-    in the formula; the argument documents the measurement setup.
+    with the window exactly as delivered packets do), and the mode enters
+    only through the repair time.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if break_rate < 0 or repair_time_ms < 0 or window_s <= 0:
-        raise ValueError("break rate and repair time must be non-negative, window positive")
+    if break_rate < 0 or repair_time_ms < 0:
+        raise ValueError("break rate and repair time must be non-negative")
     return min(1.0, max(0.0, 1.0 - break_rate * repair_time_ms / 1000.0))
 
 
@@ -203,8 +204,6 @@ def throughput_model(
     """Delivered bits/s: offered load capped by capacity, thinned by the
     delivery ratio; SDN mode additionally earns the optimization uplift,
     never exceeding the effective capacity."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if effective_capacity < 0 or offered_load < 0 or pdr < 0 or eta_opt < 0:
         raise ValueError("throughput inputs must be non-negative")
     delivered = min(offered_load, effective_capacity) * pdr
@@ -253,6 +252,14 @@ def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[i
     return hops, cfg.flow_samples
 
 
+def capacity_breakdown(cfg: ScenarioConfig, mode: str, topo: Topology) -> cap.CapacityBreakdown:
+    """Effective capacity of ``topo`` in ``mode`` over the scenario horizon."""
+    return cap.effective_capacity(
+        mode, topo, cfg.mean_speed_mps(), cfg.overhead, cfg.controller_capacity_bps,
+        cfg.sim_duration_s,
+    )
+
+
 def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsReport:
     """Evaluate every model for one (node count, mode, seed) combination."""
     cfg.validate()
@@ -269,27 +276,18 @@ def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsRe
 
     if mode == "traditional":
         per_flow = [rt.latency_manet(params, h, cfg.latency_window_s) for h in (hops or [1])]
-        latency_avg = sum(per_flow) / len(per_flow)
         latency_max = max(per_flow)
         repair_ms = rt.update_time(params)
     else:
         per_flow = [rt.latency_sdn(params, h) for h in (hops or [1])]
-        latency_avg = sum(per_flow) / len(per_flow)
         latency_max = ctl.max_latency_model(n, cfg.controller)
         repair_ms = rt.sdn_update_time(params)
+    latency_avg = sum(per_flow) / len(per_flow)
 
-    pdr = pdr_model(mode, params.rediscovery_rate_per_s, repair_ms, cfg.sim_duration_s)
-    pdr *= routable_fraction
+    pdr = pdr_model(params.rediscovery_rate_per_s, repair_ms) * routable_fraction
 
     overhead_bits_total = rt.control_overhead(mode, topo, params, cfg.sim_duration_s)
-
-    packets = cap.pairwise_packet_count(topo, cfg.mean_speed_mps(), cfg.overhead, cfg.sim_duration_s)
-    pair_rate = cap.overhead_bits(packets, cfg.overhead) / cfg.sim_duration_s
-    node_caps = [node.capacity_bps for node in topo.nodes]
-    if mode == "sdn":
-        breakdown = cap.capacity_sdn(node_caps, cfg.controller_capacity_bps, pair_rate)
-    else:
-        breakdown = cap.capacity_traditional(node_caps, cfg.overhead.flood_multiplier * pair_rate)
+    breakdown = capacity_breakdown(cfg, mode, topo)
 
     offered = n * cfg.per_node_demand_bps
     throughput = throughput_model(mode, breakdown.effective, offered, pdr, cfg.eta_optimization)
@@ -323,28 +321,18 @@ def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsRe
 
 
 def _mean_reports(reports: list[MetricsReport]) -> MetricsReport:
-    count = len(reports)
-    first = reports[0]
-
-    def mean(attr: str) -> float:
-        return sum(getattr(r, attr) for r in reports) / count
-
-    return MetricsReport(
-        n=first.n,
-        mode=first.mode,
-        latency_avg_ms=mean("latency_avg_ms"),
-        latency_max_ms=mean("latency_max_ms"),
-        throughput_bps=mean("throughput_bps"),
-        pdr=mean("pdr"),
-        control_overhead_bits=mean("control_overhead_bits"),
-        queue_backlog=mean("queue_backlog"),
-        effective_capacity_bps=mean("effective_capacity_bps"),
-        cpu_pct=mean("cpu_pct"),
-        mem_pct=mean("mem_pct"),
-        net_pct=mean("net_pct"),
-        storage_pct=mean("storage_pct"),
-        saturated=any(r.saturated for r in reports),
-    )
+    """Seed average: float fields are means, a bool is set if any run set
+    it, and the key fields (n, mode), equal across the runs, are kept."""
+    values = {}
+    for f in fields(MetricsReport):
+        column = [getattr(r, f.name) for r in reports]
+        if f.type == "float":
+            values[f.name] = sum(column) / len(column)
+        elif f.type == "bool":
+            values[f.name] = any(column)
+        else:
+            values[f.name] = column[0]
+    return MetricsReport(**values)
 
 
 def sweep(cfg: ScenarioConfig) -> list[tuple[MetricsReport, MetricsReport]]:

@@ -1,10 +1,12 @@
 """Command-line surface tests: outputs, determinism, and exit codes."""
 
+import math
 import os
 
 import pytest
 
 from sdnmanet.cli import main
+from sdnmanet.controller import ControllerConfig, fluid_backlog
 from sdnmanet.report import METRICS_COLUMNS, format_value, parse_metrics_csv
 
 SMALL_SCENARIO = "\n".join([
@@ -107,6 +109,18 @@ def test_simulate_prints_one_csv_row(small_cfg, capsys):
     assert len(lines) == 2
     assert lines[0] == ",".join(METRICS_COLUMNS)
     assert lines[1].startswith("40,sdn,")
+
+
+def test_simulate_queue_runs_for_the_configured_horizon(tmp_path, capsys):
+    path = tmp_path / "short.cfg"
+    path.write_text("sim_duration_s = 10\n", encoding="utf-8")
+    assert main(["simulate", str(path), "--n", "170", "--mode", "sdn", "--quiet"]) == 0
+    (report,) = parse_metrics_csv(capsys.readouterr().out)
+    queue = ControllerConfig(sim_duration_s=10.0)
+    fluid = fluid_backlog(170, queue)  # 33,900 requests after 10 s
+    # Six standard deviations of the Poisson arrival count, plus the request in service.
+    tolerance = 6.0 * math.sqrt((170 * queue.event_rate_lambda + queue.capacity_mu) * 10.0) + 3.0
+    assert abs(report.queue_backlog - fluid) <= tolerance
 
 
 def test_simulate_deterministic_per_seed(small_cfg, capsys):

@@ -1,9 +1,21 @@
 """Config-file parsing and validation tests."""
 
-import pytest
+import math
+import re
+from pathlib import Path
 
-from sdnmanet.config import ConfigError, parse_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdnmanet.config import _REGISTRY, ConfigError, parse_config
 from sdnmanet.simulator import ScenarioConfig
+
+REFERENCE_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"
+REMOVED_KEYS = (
+    "controller.sim_duration_s", "routing.rediscovery_rate_per_s", "gains.clustered_share",
+    "gains.clustered_gain", "gains.sliced_share", "gains.sliced_gain",
+)
 
 
 def write(tmp_path, text):
@@ -87,3 +99,93 @@ def test_missing_file_is_config_error():
 def test_negative_dataclass_field_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"routing"):
         parse_config(write(tmp_path, "routing.per_hop_delay_ms = -1\n"))
+
+
+def test_group_error_names_the_offending_keys_line(tmp_path):
+    text = "controller.capacity_mu = 12\nseed = 3\ncontroller.event_rate_lambda = -1\n"
+    with pytest.raises(ConfigError, match=r":3: invalid 'controller' settings: event_rate_lambda"):
+        parse_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_bad_horizon_names_its_own_line(tmp_path, value):
+    with pytest.raises(ConfigError, match=r":2: sim_duration_s must be positive"):
+        parse_config(write(tmp_path, f"seed = 3\nsim_duration_s = {value}\n"))
+
+
+def test_key_that_prefixes_another_is_not_blamed(tmp_path):
+    with pytest.raises(ConfigError, match=r":2: seeds_per_point"):
+        parse_config(write(tmp_path, "seed = 3\nseeds_per_point = 0\n"))
+
+
+def test_cross_field_error_names_the_key_that_was_set(tmp_path):
+    with pytest.raises(ConfigError, match=r":2: sweep\.end must not precede sweep\.start"):
+        parse_config(write(tmp_path, "seed = 3\nsweep.start = 300\n"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sim_duration_s", "inf"), ("sim_duration_s", "-inf"), ("per_node_demand_bps", "nan"),
+    ("controller.capacity_mu", "1e400"),
+])
+def test_non_finite_float_rejected_with_key_and_line(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=rf":2: value '{value}' for key '{re.escape(key)}' is not finite"):
+        parse_config(write(tmp_path, f"seed = 3\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_unknown(tmp_path, key):
+    with pytest.raises(ConfigError, match=rf":2: unknown key '{re.escape(key)}'"):
+        parse_config(write(tmp_path, f"seed = 3\n{key} = 1\n"))
+
+
+def test_horizon_is_also_the_controller_queue_horizon(tmp_path):
+    cfg = parse_config(write(tmp_path, "sim_duration_s = 10\n"))
+    assert cfg.sim_duration_s == cfg.controller.sim_duration_s == 10.0
+
+
+def test_mismatched_horizons_rejected():
+    with pytest.raises(ValueError, match=r"controller\.sim_duration_s must equal sim_duration_s"):
+        ScenarioConfig(sim_duration_s=10.0).validate()
+
+
+def test_reference_cfg_lists_every_key_at_its_default(tmp_path):
+    text = REFERENCE_CFG.read_text(encoding="utf-8")
+    keys = re.findall(r"^# ([\w.]+) = ", text, re.M)
+    assert sorted(keys) == sorted(_REGISTRY)
+    uncommented = re.sub(r"^# ([\w.]+ = )", r"\1", text, flags=re.M)
+    assert parse_config(write(tmp_path, uncommented)) == ScenarioConfig()
+
+
+def test_undecodable_file_is_config_error(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(b"seed = \xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config(str(path))
+
+
+_KEYS = st.one_of(
+    st.sampled_from(sorted(_REGISTRY)), st.sampled_from(REMOVED_KEYS), st.text(max_size=12),
+)
+_VALUES = (
+    st.sampled_from(["true", "no", "inf", "-inf", "nan", "1e400", "0x10", "1_000", "", "=", "-0"])
+    | st.integers(min_value=-10**6, max_value=10**6).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.text(max_size=12)
+)
+_ASSIGNMENTS = st.tuples(_KEYS, _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}")
+_LINES = st.one_of(_ASSIGNMENTS, _ASSIGNMENTS, st.text(max_size=20), st.just("# comment"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=6))
+def test_parser_raises_only_config_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("cfg") / "scenario.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg = parse_config(str(path))
+    except ConfigError:
+        return
+    cfg.validate()
+    for key, (group, name, _) in _REGISTRY.items():
+        value = getattr(getattr(cfg, group) if group else cfg, name)
+        assert math.isfinite(value), key

@@ -42,29 +42,29 @@ def r_squared(xs, ys):
 # ------------------------------------------------------------------ pdr model
 
 def test_pdr_perfect_without_breaks():
-    assert pdr_model("traditional", 0.0, 500.0, 30.0) == 1.0
+    assert pdr_model(0.0, 500.0) == 1.0
 
 
 def test_pdr_direct_evaluation():
-    assert pdr_model("sdn", 0.1, 500.0, 30.0) == pytest.approx(0.95)
+    assert pdr_model(0.1, 500.0) == pytest.approx(0.95)
 
 
 def test_pdr_clamps_at_zero():
-    assert pdr_model("traditional", 10.0, 500.0, 30.0) == 0.0
+    assert pdr_model(10.0, 500.0) == 0.0
 
 
 def test_pdr_better_with_faster_repair():
     for rate in (0.05, 0.2, 0.5):
-        fast = pdr_model("sdn", rate, 15.0, 30.0)
-        slow = pdr_model("traditional", rate, 60.0, 30.0)
+        fast = pdr_model(rate, 15.0)
+        slow = pdr_model(rate, 60.0)
         assert fast >= slow
 
 
 def test_pdr_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        pdr_model("mesh", 0.1, 10.0, 1.0)
+        pdr_model(-0.1, 10.0)
     with pytest.raises(ValueError):
-        pdr_model("sdn", -0.1, 10.0, 1.0)
+        pdr_model(0.1, -10.0)
 
 
 # ----------------------------------------------------------- throughput model
