@@ -2,12 +2,16 @@
 
 import math
 import os
+from pathlib import Path
 
 import pytest
 
 from sdnmanet.cli import main
 from sdnmanet.controller import ControllerConfig, fluid_backlog
 from sdnmanet.report import METRICS_COLUMNS, format_value, parse_metrics_csv
+
+REFERENCE_CFG = str(Path(__file__).parent.parent / "scenarios" / "reference.cfg")
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_SCENARIO = "\n".join([
     "seeds_per_point = 2",
@@ -157,6 +161,13 @@ def test_capacity_breakdown_rows(small_cfg, capsys):
     sdn = lines[2].split(",")
     assert trad[0] == "traditional" and sdn[0] == "sdn"
     assert float(sdn[4]) > float(trad[4])
+
+
+def test_capacity_at_large_n_matches_golden(capsys):
+    # The overhead column sums over every post-mobility edge length of a
+    # 1000-node world, a size the golden sweep (n <= 200) never reaches.
+    assert main(["capacity", REFERENCE_CFG, "--n", "1000", "--quiet"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "capacity_n1000.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- resources
