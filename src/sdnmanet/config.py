@@ -23,9 +23,8 @@ class ConfigError(ValueError):
 
 
 #: Fields that are not keys, because the scenario derives them: the
-#: controller's queue horizon is the root ``sim_duration_s``, and the route
-#: break rate is ``simulator.rediscovery_rate`` at each node count.
-_DERIVED = ("controller.sim_duration_s", "routing.rediscovery_rate_per_s")
+#: controller's queue horizon is the root ``sim_duration_s``.
+_DERIVED = ("controller.sim_duration_s",)
 
 
 def _field_registry() -> dict[str, tuple[str | None, str, type]]:

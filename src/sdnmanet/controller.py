@@ -75,7 +75,8 @@ def simulate_queue(n: int, cfg: ControllerConfig, seed: int) -> ControllerTrace:
     Poisson arrivals at aggregate rate ``n * event_rate_lambda``,
     deterministic service at ``capacity_mu``, FIFO order; the queue length
     (requests arrived but not yet completed) is sampled every
-    ``TRACE_SAMPLE_S`` seconds. Bit-reproducible for a given seed.
+    ``TRACE_SAMPLE_S`` seconds, and the final backlog is that length at the
+    horizon itself. Bit-reproducible for a given seed.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
@@ -111,12 +112,11 @@ def simulate_queue(n: int, cfg: ControllerConfig, seed: int) -> ControllerTrace:
             completed += 1
         times.append(ts)
         sizes.append(arrived - completed)
-    final = sizes[-1] if sizes else 0
     return ControllerTrace(
         times=tuple(times),
         queue_sizes=tuple(sizes),
         served_latencies_ms=tuple(latencies),
-        final_backlog=final,
+        final_backlog=len(arrivals) - len(departures),
     )
 
 

@@ -22,7 +22,6 @@ class RoutingParams:
     reconfig_base_ms: float = 5.0        # node reconfiguration
     controller_compute_ms: float = 5.0   # central route computation
     controller_rtt_ms: float = 5.0       # node <-> controller round trip
-    rediscovery_rate_per_s: float = 0.0  # expected route breaks per flow
     discovery_flood_factor: float = 2.0  # messages per edge per discovery
     sdn_update_rate_per_node_s: float = 0.1  # controller messages per node
     control_msg_bits: int = 512
@@ -31,8 +30,7 @@ class RoutingParams:
         for name in (
             "per_hop_delay_ms", "discovery_base_ms", "propagation_base_ms",
             "reconfig_base_ms", "controller_compute_ms", "controller_rtt_ms",
-            "rediscovery_rate_per_s", "discovery_flood_factor",
-            "sdn_update_rate_per_node_s", "control_msg_bits",
+            "discovery_flood_factor", "sdn_update_rate_per_node_s", "control_msg_bits",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -77,18 +75,20 @@ def sdn_update_time(p: RoutingParams) -> float:
     return p.controller_compute_ms + p.controller_rtt_ms + p.reconfig_base_ms
 
 
-def latency_manet(p: RoutingParams, hops: int, window_s: float) -> float:
+def latency_manet(p: RoutingParams, hops: int, window_s: float, break_rate_per_s: float) -> float:
     """Per-packet latency in ms over a distributed network.
 
     Route breaks within the observation window are amortized into the packet
-    latency: expected breaks (rate * window) times the full table-update
-    time, plus the per-hop transmission delay.
+    latency: expected breaks (break rate * window) times the full
+    table-update time, plus the per-hop transmission delay.
     """
     if hops < 1:
         raise ValueError("hops must be at least 1")
     if window_s <= 0.0:
         raise ValueError("window must be positive")
-    discovery = p.rediscovery_rate_per_s * window_s * update_time(p)
+    if break_rate_per_s < 0:
+        raise ValueError("break rate must be non-negative")
+    discovery = break_rate_per_s * window_s * update_time(p)
     return discovery + hops * p.per_hop_delay_ms
 
 
@@ -104,16 +104,19 @@ def control_overhead(
     t: Topology,
     p: RoutingParams,
     duration_s: float,
+    break_rate_per_s: float,
 ) -> float:
     """Bits of control traffic generated over ``duration_s``.
 
-    Traditional networks flood every rediscovery across all links; an SDN
-    controller exchanges a fixed per-node message stream instead.
+    Traditional networks flood a rediscovery across all links per route
+    break; an SDN controller exchanges a fixed per-node message stream.
     """
     if duration_s <= 0.0:
         raise ValueError("duration must be positive")
+    if break_rate_per_s < 0:
+        raise ValueError("break rate must be non-negative")
     if mode == "traditional":
-        discoveries = p.rediscovery_rate_per_s * duration_s
+        discoveries = break_rate_per_s * duration_s
         return discoveries * p.discovery_flood_factor * len(t.edges) * p.control_msg_bits
     if mode == "sdn":
         n = len(t.nodes)

@@ -18,7 +18,7 @@ the 50-node reference comparison lands on a 25% hardware-cost reduction,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import capacity as cap
 from . import controller as ctl
@@ -272,10 +272,10 @@ def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsRe
     hops, flows_total = _sample_hops(cfg, topo, derive_seed(seed, 3))
     routable_fraction = len(hops) / flows_total if flows_total else 1.0
 
-    params = replace(cfg.routing, rediscovery_rate_per_s=rediscovery_rate(cfg, n))
+    params, break_rate = cfg.routing, rediscovery_rate(cfg, n)
 
     if mode == "traditional":
-        per_flow = [rt.latency_manet(params, h, cfg.latency_window_s) for h in (hops or [1])]
+        per_flow = [rt.latency_manet(params, h, cfg.latency_window_s, break_rate) for h in (hops or [1])]
         latency_max = max(per_flow)
         repair_ms = rt.update_time(params)
     else:
@@ -284,9 +284,9 @@ def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsRe
         repair_ms = rt.sdn_update_time(params)
     latency_avg = sum(per_flow) / len(per_flow)
 
-    pdr = pdr_model(params.rediscovery_rate_per_s, repair_ms) * routable_fraction
+    pdr = pdr_model(break_rate, repair_ms) * routable_fraction
 
-    overhead_bits_total = rt.control_overhead(mode, topo, params, cfg.sim_duration_s)
+    overhead_bits_total = rt.control_overhead(mode, topo, params, cfg.sim_duration_s, break_rate)
     breakdown = capacity_breakdown(cfg, mode, topo)
 
     offered = n * cfg.per_node_demand_bps

@@ -9,6 +9,7 @@ share nothing and still agree bit for bit.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import random
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 
 from .rng import rand_index, uniform_in
 
-# Floor applied to edge weights so coincident nodes cannot produce a
-# zero-weight (hence invalid) link.
+# Floor on edge weights, so coincident nodes never give a zero-weight link.
 _MIN_EDGE_WEIGHT = 1e-9
 
 
@@ -37,15 +37,14 @@ class NodeState:
 
 @dataclass
 class Topology:
-    """Weighted undirected graph over mobile nodes.
+    """Undirected graph over mobile nodes.
 
-    Edges are unordered pairs ``(a, b)`` with ``a < b``; weights default to
-    the Euclidean distance between endpoints in meters.
+    Edges are unordered pairs ``(a, b)`` with ``a < b``, checked and indexed
+    once at construction; mobility moves the nodes and keeps the edges.
     """
 
     nodes: list[NodeState]
     edges: tuple[tuple[int, int], ...]
-    edge_weight: dict[tuple[int, int], float]
     area: tuple[float, float] = (1000.0, 1000.0)
     _adjacency: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -63,11 +62,15 @@ class Topology:
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
-            if self.edge_weight.get((a, b), 0.0) <= 0.0:
-                raise ValueError(f"edge ({a}, {b}) must have a positive weight")
             neighbors[a].append(b)
             neighbors[b].append(a)
         self._adjacency = {i: tuple(sorted(neighbors[i])) for i in range(n)}
+
+    @property
+    def edge_weight(self) -> dict[tuple[int, int], float]:
+        """Edge lengths in meters at the current positions, floored."""
+        pos = [node.position for node in self.nodes]
+        return {(a, b): max(_euclid(pos[a], pos[b]), _MIN_EDGE_WEIGHT) for a, b in self.edges}
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         _check_node(self, i)
@@ -120,15 +123,11 @@ def generate_erdos_renyi(
                       capacity_bps=node_capacity_bps, waypoint=pos)
         )
     edges = []
-    weights = {}
     for a in range(n):
         for b in range(a + 1, n):
             if rng.random() < p:
                 edges.append((a, b))
-                weights[(a, b)] = max(
-                    _euclid(nodes[a].position, nodes[b].position), _MIN_EDGE_WEIGHT
-                )
-    return Topology(nodes=nodes, edges=tuple(edges), edge_weight=weights, area=area)
+    return Topology(nodes=nodes, edges=tuple(edges), area=area)
 
 
 def step_mobility(
@@ -141,8 +140,9 @@ def step_mobility(
 
     A node moves toward its waypoint at its current speed; on arrival it
     draws a new waypoint uniformly in the area and a new speed uniformly in
-    ``speed_range`` (the arrival consumes the remainder of the step). Edge
-    weights are recomputed from the new positions.
+    ``speed_range`` (the arrival consumes the remainder of the step). The
+    result shares ``t``'s edges and adjacency, which mobility never changes,
+    so they are not checked again.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -171,11 +171,9 @@ def step_mobility(
         pos = (min(max(pos[0], 0.0), width), min(max(pos[1], 0.0), height))
         moved.append(NodeState(position=pos, velocity=vel,
                                capacity_bps=node.capacity_bps, waypoint=wp))
-    weights = {
-        (a, b): max(_euclid(moved[a].position, moved[b].position), _MIN_EDGE_WEIGHT)
-        for a, b in t.edges
-    }
-    return Topology(nodes=moved, edges=t.edges, edge_weight=weights, area=t.area)
+    stepped = copy.copy(t)
+    stepped.nodes = moved
+    return stepped
 
 
 def distance(t: Topology, a: int, b: int) -> float:

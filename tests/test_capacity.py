@@ -21,8 +21,7 @@ def two_node_topology(gap_m: float) -> Topology:
         NodeState(position=(0.0, 0.0), velocity=(0.0, 0.0), capacity_bps=1000.0, waypoint=(0.0, 0.0)),
         NodeState(position=(gap_m, 0.0), velocity=(0.0, 0.0), capacity_bps=1000.0, waypoint=(gap_m, 0.0)),
     ]
-    return Topology(nodes=nodes, edges=((0, 1),), edge_weight={(0, 1): gap_m},
-                    area=(2 * gap_m, 2 * gap_m))
+    return Topology(nodes=nodes, edges=((0, 1),), area=(2 * gap_m, 2 * gap_m))
 
 
 # ----------------------------------------------------------- pairwise model

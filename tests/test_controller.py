@@ -1,5 +1,8 @@
 """Controller backlog, queue-trace, latency-curve, and saturation tests."""
 
+import math
+import random
+
 import pytest
 
 from sdnmanet.controller import (
@@ -10,6 +13,7 @@ from sdnmanet.controller import (
     saturation_point,
     simulate_queue,
 )
+from sdnmanet.rng import exp_interval
 
 
 def r_squared(xs, ys):
@@ -75,6 +79,29 @@ def test_simulate_queue_matches_fluid_limit_in_overload():
     assert abs(mean_final - expected) / expected <= 0.02
     for final in finals:
         assert abs(final - expected) / expected <= 0.02
+
+
+@pytest.mark.parametrize("horizon", [0.04, 0.25, 30.05])
+def test_final_backlog_is_the_queue_at_the_horizon(horizon):
+    # None of these horizons is a 0.1 s sample time; the backlog must still
+    # count every request that arrived by the horizon and was not served.
+    cfg = ControllerConfig(sim_duration_s=horizon)
+    trace = simulate_queue(170, cfg, seed=5)
+    rng, rate = random.Random(5), 170 * cfg.event_rate_lambda  # replay the arrivals
+    arrived, t = 0, exp_interval(rng, rate)
+    while t <= horizon:
+        arrived += 1
+        t += exp_interval(rng, rate)
+    assert trace.final_backlog == arrived - len(trace.served_latencies_ms)
+
+
+def test_final_backlog_within_one_sample_interval_matches_fluid_bound():
+    cfg = ControllerConfig(sim_duration_s=0.04)  # ends before the first 0.1 s sample
+    expected = fluid_backlog(170, cfg)  # 135.6 requests
+    # Six standard deviations of the Poisson arrival count, plus the request in service.
+    tolerance = 6.0 * math.sqrt((170 * cfg.event_rate_lambda + cfg.capacity_mu) * 0.04) + 3.0
+    for s in range(10):
+        assert abs(simulate_queue(170, cfg, seed=s).final_backlog - expected) <= tolerance
 
 
 def test_simulate_queue_underload_stays_short():

@@ -135,8 +135,8 @@ def test_sdn_update_faster_when_compute_beats_discovery():
 # ------------------------------------------------------------------ latency
 
 def test_latency_manet_without_breaks_is_pure_transmission():
-    p = params(rediscovery_rate_per_s=0.0, per_hop_delay_ms=7.0)
-    assert latency_manet(p, hops=4, window_s=1.0) == 28.0
+    p = params(per_hop_delay_ms=7.0)
+    assert latency_manet(p, hops=4, window_s=1.0, break_rate_per_s=0.0) == 28.0
 
 
 def test_latency_manet_adds_amortized_discovery():
@@ -144,22 +144,26 @@ def test_latency_manet_adds_amortized_discovery():
     p = params(
         per_hop_delay_ms=10.0,
         discovery_base_ms=20.0, propagation_base_ms=15.0, reconfig_base_ms=5.0,
-        rediscovery_rate_per_s=0.5,
     )
-    assert latency_manet(p, hops=3, window_s=1.0) == 50.0
+    assert latency_manet(p, hops=3, window_s=1.0, break_rate_per_s=0.5) == 50.0
 
 
 def test_latency_manet_monotone_in_break_rate():
     previous = -1.0
     for rate in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0):
-        value = latency_manet(params(rediscovery_rate_per_s=rate), hops=3, window_s=1.0)
+        value = latency_manet(params(), hops=3, window_s=1.0, break_rate_per_s=rate)
         assert value > previous
         previous = value
 
 
 def test_latency_manet_rejects_zero_hops():
     with pytest.raises(ValueError):
-        latency_manet(params(), hops=0, window_s=1.0)
+        latency_manet(params(), hops=0, window_s=1.0, break_rate_per_s=0.0)
+
+
+def test_latency_manet_rejects_negative_break_rate():
+    with pytest.raises(ValueError):
+        latency_manet(params(), hops=1, window_s=1.0, break_rate_per_s=-0.1)
 
 
 def test_latency_sdn_sums_terms():
@@ -183,25 +187,31 @@ def test_control_overhead_known_values():
     # 10-node complete graph: 45 edges; one discovery per second for 10 s,
     # flooding 2 messages per edge, 512-bit messages.
     t = generate_erdos_renyi(10, 1.0, seed=1)
-    p = params(rediscovery_rate_per_s=1.0, discovery_flood_factor=2.0,
-               control_msg_bits=512, sdn_update_rate_per_node_s=1.0)
-    assert control_overhead("traditional", t, p, 10.0) == 460_800.0
-    assert control_overhead("sdn", t, p, 10.0) == 51_200.0
+    p = params(discovery_flood_factor=2.0, control_msg_bits=512, sdn_update_rate_per_node_s=1.0)
+    assert control_overhead("traditional", t, p, 10.0, 1.0) == 460_800.0
+    assert control_overhead("sdn", t, p, 10.0, 1.0) == 51_200.0
 
 
 def test_control_overhead_vanishes_with_duration():
     t = generate_erdos_renyi(10, 0.5, seed=2)
-    p = params(rediscovery_rate_per_s=1.0, sdn_update_rate_per_node_s=1.0)
+    p = params(sdn_update_rate_per_node_s=1.0)
     for mode in ("traditional", "sdn"):
-        assert control_overhead(mode, t, p, 1e-9) == pytest.approx(0.0, abs=1e-3)
+        assert control_overhead(mode, t, p, 1e-9, 1.0) == pytest.approx(0.0, abs=1e-3)
     with pytest.raises(ValueError):
-        control_overhead("traditional", t, p, 0.0)
+        control_overhead("traditional", t, p, 0.0, 1.0)
 
 
 def test_control_overhead_rejects_unknown_mode():
     t = generate_erdos_renyi(4, 0.5, seed=3)
     with pytest.raises(ValueError):
-        control_overhead("hybrid", t, params(), 1.0)
+        control_overhead("hybrid", t, params(), 1.0, 0.0)
+
+
+def test_control_overhead_rejects_negative_break_rate():
+    t = generate_erdos_renyi(4, 0.5, seed=3)
+    for mode in ("traditional", "sdn"):
+        with pytest.raises(ValueError):
+            control_overhead(mode, t, params(), 1.0, -0.1)
 
 
 def test_sdn_overhead_below_traditional_at_expected_edge_counts():
@@ -220,15 +230,15 @@ def test_sdn_overhead_below_traditional_at_expected_edge_counts():
 
 
 def test_traditional_overhead_superlinear_sdn_linear():
-    p = params(rediscovery_rate_per_s=1.0, sdn_update_rate_per_node_s=1.0)
+    p = params(sdn_update_rate_per_node_s=1.0)
     trad, sdn = {}, {}
     for n in (50, 100, 200):
         values = [
-            control_overhead("traditional", generate_erdos_renyi(n, 0.05, seed=s), p, 10.0)
+            control_overhead("traditional", generate_erdos_renyi(n, 0.05, seed=s), p, 10.0, 1.0)
             for s in range(20)
         ]
         trad[n] = sum(values) / len(values)
-        sdn[n] = control_overhead("sdn", generate_erdos_renyi(n, 0.05, seed=0), p, 10.0)
+        sdn[n] = control_overhead("sdn", generate_erdos_renyi(n, 0.05, seed=0), p, 10.0, 1.0)
     # doubling n roughly quadruples flooded traffic (edges scale with n^2)
     # but exactly doubles controller traffic
     assert trad[200] / trad[100] > 3.0

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnmanet.topology import (
     NodeState,
@@ -49,8 +51,7 @@ def line_topology(weights=None):
         for i in range(3)
     ]
     edges = ((0, 1), (1, 2))
-    return Topology(nodes=nodes, edges=edges,
-                    edge_weight={e: 1.0 for e in edges}, area=(10.0, 10.0))
+    return Topology(nodes=nodes, edges=edges, area=(10.0, 10.0))
 
 
 def diamond_topology():
@@ -61,8 +62,21 @@ def diamond_topology():
         for i in range(4)
     ]
     edges = ((0, 1), (0, 3), (1, 2), (2, 3))  # A=0, B=1, C=2, D=3
-    return Topology(nodes=nodes, edges=edges,
-                    edge_weight={e: 1.0 for e in edges}, area=(10.0, 10.0))
+    return Topology(nodes=nodes, edges=edges, area=(10.0, 10.0))
+
+
+# ------------------------------------------------------------- construction
+
+@pytest.mark.parametrize("edges, message", [
+    (((1, 1),), "self-loop on node 1"),
+    (((0, 3),), "invalid endpoints"),
+    (((1, 0),), "invalid endpoints"),
+    (((0, 1), (1, 2), (0, 1)), "duplicate edge"),
+], ids=["self-loop", "out-of-range", "reversed", "duplicate"])
+def test_topology_rejects_malformed_edges(edges, message):
+    nodes = line_topology().nodes
+    with pytest.raises(ValueError, match=message):
+        Topology(nodes=nodes, edges=edges, area=(10.0, 10.0))
 
 
 # ---------------------------------------------------------------- generation
@@ -131,7 +145,7 @@ def test_zero_speed_range_leaves_positions_unchanged():
 def test_linear_motion_toward_waypoint():
     node = NodeState(position=(0.0, 0.0), velocity=(5.0, 0.0),
                      capacity_bps=1000.0, waypoint=(10.0, 0.0))
-    t = Topology(nodes=[node], edges=(), edge_weight={}, area=(20.0, 20.0))
+    t = Topology(nodes=[node], edges=(), area=(20.0, 20.0))
     stepped = step_mobility(t, 1.0, (1.0, 1.0), seed=2)
     assert stepped.nodes[0].position == (5.0, 0.0)
 
@@ -153,6 +167,46 @@ def test_mobility_recomputes_edge_weights_from_distances():
         assert w == pytest.approx(max(distance(stepped, a, b), 1e-9))
 
 
+def test_mobility_checks_the_graph_only_at_construction(monkeypatch):
+    checked = []
+    check = Topology.__post_init__
+
+    def counted(t):
+        checked.append(len(t.nodes))
+        check(t)
+
+    monkeypatch.setattr(Topology, "__post_init__", counted)
+    t = generate_erdos_renyi(30, 0.2, seed=4)
+    for step in range(5):
+        t = step_mobility(t, 1.0, (1.0, 5.0), seed=step)
+    assert checked == [30]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 15),
+    p=st.floats(0.0, 1.0),
+    area=st.tuples(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0)),
+    speeds=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2).map(sorted),
+    dt=st.floats(0.01, 100.0),
+    steps=st.integers(1, 10),
+    seed=st.integers(0, 2**32),
+)
+def test_topology_invariants_hold_under_mobility(n, p, area, speeds, dt, steps, seed):
+    start = generate_erdos_renyi(n, p, seed, area=area)
+    t = start
+    for k in range(steps):
+        t = step_mobility(t, dt, tuple(speeds), seed + k)
+    assert t.edges == start.edges
+    fresh = Topology(nodes=t.nodes, edges=t.edges, area=area)
+    assert [t.neighbors(i) for i in range(n)] == [fresh.neighbors(i) for i in range(n)]
+    for node in t.nodes:
+        assert 0.0 <= node.position[0] <= area[0]
+        assert 0.0 <= node.position[1] <= area[1]
+    assert t.edge_weight == {(a, b): max(distance(t, a, b), 1e-9) for a, b in t.edges}
+    assert start == generate_erdos_renyi(n, p, seed, area=area)  # stepping left it alone
+
+
 def test_mobility_rejects_bad_arguments():
     t = generate_erdos_renyi(3, 0.5, seed=1)
     with pytest.raises(ValueError):
@@ -168,7 +222,7 @@ def test_distance_345_triangle():
         NodeState(position=(0.0, 0.0), velocity=(0.0, 0.0), capacity_bps=1.0, waypoint=(0.0, 0.0)),
         NodeState(position=(3.0, 4.0), velocity=(0.0, 0.0), capacity_bps=1.0, waypoint=(3.0, 4.0)),
     ]
-    t = Topology(nodes=nodes, edges=(), edge_weight={}, area=(10.0, 10.0))
+    t = Topology(nodes=nodes, edges=(), area=(10.0, 10.0))
     assert distance(t, 0, 1) == 5.0
     assert distance(t, 1, 0) == 5.0
     assert distance(t, 0, 0) == 0.0
