@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .rng import exp_interval
+from .rng import arrival_times
 
 #: Fixed ratio between reported average and maximum request latency.
 AVG_TO_MAX_LATENCY = 0.6
@@ -77,46 +78,38 @@ def simulate_queue(n: int, cfg: ControllerConfig, seed: int) -> ControllerTrace:
     (requests arrived but not yet completed) is sampled every
     ``TRACE_SAMPLE_S`` seconds, and the final backlog is that length at the
     horizon itself. Bit-reproducible for a given seed.
+
+    Arrivals are streamed, never stored: each is counted into the samples it
+    precedes and served at once, and serving stops at the first request that
+    misses the horizon, since completions never decrease.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
-    rng = random.Random(seed)
     horizon = cfg.sim_duration_s
-    rate = n * cfg.event_rate_lambda
-    arrivals: list[float] = []
-    if rate > 0:
-        t = exp_interval(rng, rate)
-        while t <= horizon:
-            arrivals.append(t)
-            t += exp_interval(rng, rate)
     service = 1.0 / cfg.capacity_mu
+    times = [step * TRACE_SAMPLE_S for step in range(1, round(horizon / TRACE_SAMPLE_S) + 1)]
+    arrived_by: list[int] = []  # arrived_by[k]: arrivals at or before times[k]
+    bounds = iter([*times, math.inf])
+    next_ts = next(bounds)
     departures: list[float] = []
     latencies: list[float] = []
-    prev_done = 0.0
-    for a in arrivals:
-        done = (a if a > prev_done else prev_done) + service
-        prev_done = done
-        if done <= horizon:
-            departures.append(done)
-            latencies.append((done - a) * 1000.0)
-
-    samples = round(horizon / TRACE_SAMPLE_S)
-    times: list[float] = []
-    sizes: list[int] = []
-    arrived = completed = 0
-    for step in range(1, samples + 1):
-        ts = step * TRACE_SAMPLE_S
-        while arrived < len(arrivals) and arrivals[arrived] <= ts:
-            arrived += 1
-        while completed < len(departures) and departures[completed] <= ts:
-            completed += 1
-        times.append(ts)
-        sizes.append(arrived - completed)
+    arrived, prev_done = 0, 0.0
+    for arrived, a in enumerate(arrival_times(random.Random(seed), n * cfg.event_rate_lambda, horizon), 1):
+        while a > next_ts:  # close every sample this arrival comes after
+            arrived_by.append(arrived - 1)
+            next_ts = next(bounds)
+        if prev_done <= horizon:
+            done = (a if a > prev_done else prev_done) + service
+            prev_done = done
+            if done <= horizon:
+                departures.append(done)
+                latencies.append((done - a) * 1000.0)
+    arrived_by += [arrived] * (len(times) - len(arrived_by))
     return ControllerTrace(
         times=tuple(times),
-        queue_sizes=tuple(sizes),
+        queue_sizes=tuple(count - bisect_right(departures, ts) for count, ts in zip(arrived_by, times)),
         served_latencies_ms=tuple(latencies),
-        final_backlog=len(arrivals) - len(departures),
+        final_backlog=arrived - len(departures),
     )
 
 

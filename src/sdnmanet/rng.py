@@ -6,15 +6,16 @@ MT19937's ``random()`` output for a given seed is identical on every
 platform and CPython version, so a scenario seed fully determines every
 topology, mobility trace, and queue realization, bit for bit.
 
-Only ``random()`` is consumed directly; uniform, exponential, and index
-draws are derived from it here so the draw sequence never depends on
-library internals that carry weaker stability guarantees.
+Only ``random()`` is consumed directly; uniform draws, index draws and
+Poisson arrival times are derived from it here so the draw sequence never
+depends on library internals that carry weaker stability guarantees.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,9 +43,13 @@ def uniform_in(rng: random.Random, low: float, high: float) -> float:
     return low + (high - low) * rng.random()
 
 
-def exp_interval(rng: random.Random, rate: float) -> float:
-    """One exponential inter-event time for a Poisson process of `rate`/s."""
-    return -math.log(1.0 - rng.random()) / rate
+def arrival_times(rng: random.Random, rate: float, horizon: float) -> Iterator[float]:
+    """Event times up to `horizon` of a Poisson process of `rate`/s, in order;
+    each gap is one exponential draw. A rate of zero yields nothing."""
+    if rate > 0:
+        t = -0.0  # -0.0 + x is x for every float, so the first time is the first gap
+        while (t := t + -math.log(1.0 - rng.random()) / rate) <= horizon:
+            yield t
 
 
 def rand_index(rng: random.Random, n: int) -> int:

@@ -14,6 +14,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rng import rand_index, uniform_in
 
@@ -25,8 +26,7 @@ class NoRouteError(Exception):
     """Destination not reachable from the source in the current graph."""
 
 
-@dataclass(frozen=True)
-class NodeState:
+class NodeState(NamedTuple):
     """One node: where it is, how it moves, and how much it can carry."""
 
     position: tuple[float, float]  # meters
@@ -35,12 +35,13 @@ class NodeState:
     waypoint: tuple[float, float]  # meters
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
     """Undirected graph over mobile nodes.
 
     Edges are unordered pairs ``(a, b)`` with ``a < b``, checked and indexed
-    once at construction; mobility moves the nodes and keeps the edges.
+    once at construction; mobility moves the nodes and keeps the edges. The
+    fields are frozen, so the index can never describe another graph.
     """
 
     nodes: list[NodeState]
@@ -64,7 +65,7 @@ class Topology:
             seen.add((a, b))
             neighbors[a].append(b)
             neighbors[b].append(a)
-        self._adjacency = {i: tuple(sorted(neighbors[i])) for i in range(n)}
+        object.__setattr__(self, "_adjacency", {i: tuple(sorted(neighbors[i])) for i in range(n)})
 
     @property
     def edge_weight(self) -> dict[tuple[int, int], float]:
@@ -151,28 +152,29 @@ def step_mobility(
         raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
     rng = random.Random(seed)
     width, height = t.area
+    hypot = math.hypot
     moved: list[NodeState] = []
-    for node in t.nodes:
-        pos, vel, wp = node.position, node.velocity, node.waypoint
-        speed = math.hypot(*vel)
-        dist_to_wp = _euclid(pos, wp)
-        if speed * dt >= dist_to_wp:
+    for pos, vel, capacity_bps, wp in t.nodes:
+        if hypot(vel[0], vel[1]) * dt >= hypot(pos[0] - wp[0], pos[1] - wp[1]):
             # Arrived: land on the waypoint and pick the next leg.
-            pos = wp
+            x, y = wp
             wp = (uniform_in(rng, 0.0, width), uniform_in(rng, 0.0, height))
             speed = uniform_in(rng, lo, hi) if hi > lo else lo
-            leg = _euclid(pos, wp)
+            leg = hypot(x - wp[0], y - wp[1])
             if speed > 0.0 and leg > 0.0:
-                vel = ((wp[0] - pos[0]) / leg * speed, (wp[1] - pos[1]) / leg * speed)
+                vel = ((wp[0] - x) / leg * speed, (wp[1] - y) / leg * speed)
             else:
                 vel = (0.0, 0.0)
         else:
-            pos = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt)
-        pos = (min(max(pos[0], 0.0), width), min(max(pos[1], 0.0), height))
-        moved.append(NodeState(position=pos, velocity=vel,
-                               capacity_bps=node.capacity_bps, waypoint=wp))
+            x, y = pos[0] + vel[0] * dt, pos[1] + vel[1] * dt
+        # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
+        x = 0.0 if x < 0.0 else x
+        x = width if x > width else x
+        y = 0.0 if y < 0.0 else y
+        y = height if y > height else y
+        moved.append(NodeState((x, y), vel, capacity_bps, wp))
     stepped = copy.copy(t)
-    stepped.nodes = moved
+    object.__setattr__(stepped, "nodes", moved)
     return stepped
 
 

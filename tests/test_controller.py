@@ -2,18 +2,22 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdnmanet.controller import (
+    TRACE_SAMPLE_S,
     ControllerConfig,
+    ControllerTrace,
     avg_latency_model,
     fluid_backlog,
     max_latency_model,
     saturation_point,
     simulate_queue,
 )
-from sdnmanet.rng import exp_interval
 
 
 def r_squared(xs, ys):
@@ -88,10 +92,10 @@ def test_final_backlog_is_the_queue_at_the_horizon(horizon):
     cfg = ControllerConfig(sim_duration_s=horizon)
     trace = simulate_queue(170, cfg, seed=5)
     rng, rate = random.Random(5), 170 * cfg.event_rate_lambda  # replay the arrivals
-    arrived, t = 0, exp_interval(rng, rate)
+    arrived, t = 0, -math.log(1.0 - rng.random()) / rate
     while t <= horizon:
         arrived += 1
-        t += exp_interval(rng, rate)
+        t += -math.log(1.0 - rng.random()) / rate
     assert trace.final_backlog == arrived - len(trace.served_latencies_ms)
 
 
@@ -102,6 +106,82 @@ def test_final_backlog_within_one_sample_interval_matches_fluid_bound():
     tolerance = 6.0 * math.sqrt((170 * cfg.event_rate_lambda + cfg.capacity_mu) * 0.04) + 3.0
     for s in range(10):
         assert abs(simulate_queue(170, cfg, seed=s).final_backlog - expected) <= tolerance
+
+
+def list_based_simulate_queue(n, cfg, seed):
+    """Oracle: the queue as first written, holding every arrival in a list."""
+    if n < 0:
+        raise ValueError("node count must be non-negative")
+    rng = random.Random(seed)
+    horizon = cfg.sim_duration_s
+    rate = n * cfg.event_rate_lambda
+    arrivals = []
+    if rate > 0:
+        t = -math.log(1.0 - rng.random()) / rate
+        while t <= horizon:
+            arrivals.append(t)
+            t += -math.log(1.0 - rng.random()) / rate
+    service = 1.0 / cfg.capacity_mu
+    departures = []
+    latencies = []
+    prev_done = 0.0
+    for a in arrivals:
+        done = (a if a > prev_done else prev_done) + service
+        prev_done = done
+        if done <= horizon:
+            departures.append(done)
+            latencies.append((done - a) * 1000.0)
+
+    samples = round(horizon / TRACE_SAMPLE_S)
+    times = []
+    sizes = []
+    arrived = completed = 0
+    for step in range(1, samples + 1):
+        ts = step * TRACE_SAMPLE_S
+        while arrived < len(arrivals) and arrivals[arrived] <= ts:
+            arrived += 1
+        while completed < len(departures) and departures[completed] <= ts:
+            completed += 1
+        times.append(ts)
+        sizes.append(arrived - completed)
+    return ControllerTrace(
+        times=tuple(times),
+        queue_sizes=tuple(sizes),
+        served_latencies_ms=tuple(latencies),
+        final_backlog=len(arrivals) - len(departures),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    mu=st.floats(0.5, 500.0),
+    lam=st.floats(0.0, 20.0),
+    horizon=st.one_of(st.sampled_from([0.04, 0.25, 30.05]), st.floats(0.001, 0.099),
+                      st.floats(0.1, 12.0)),
+    seed=st.integers(0, 2**32),
+)
+@example(n=170, mu=10.0, lam=20.0, horizon=30.05, seed=5)  # overload past the last sample
+@example(n=170, mu=10.0, lam=20.0, horizon=0.04, seed=5)  # ends before the first sample
+@example(n=170, mu=10.0, lam=20.0, horizon=0.25, seed=5)  # ends between two samples
+@example(n=10, mu=10.0, lam=0.5, horizon=30.05, seed=3)  # underload: most requests served
+@example(n=50, mu=10.0, lam=0.0, horizon=30.0, seed=1)  # no events at all
+@example(n=0, mu=10.0, lam=20.0, horizon=30.0, seed=1)  # no nodes
+def test_streaming_queue_matches_the_list_based_trace(n, mu, lam, horizon, seed):
+    cfg = ControllerConfig(capacity_mu=mu, event_rate_lambda=lam, sim_duration_s=horizon)
+    assert simulate_queue(n, cfg, seed) == list_based_simulate_queue(n, cfg, seed)
+
+
+def test_queue_memory_does_not_grow_with_the_arrivals():
+    # About 600,000 arrivals in 30 s; a list of their times alone takes ~19 MB.
+    tracemalloc.start()
+    try:
+        trace = simulate_queue(1000, ControllerConfig(), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.final_backlog > 590_000
+    assert peak < 1_000_000
 
 
 def test_simulate_queue_underload_stays_short():

@@ -1,5 +1,6 @@
 """Graph generation, mobility, distance, degree, path, and clustering tests."""
 
+import dataclasses
 import math
 import random
 
@@ -77,6 +78,17 @@ def test_topology_rejects_malformed_edges(edges, message):
     nodes = line_topology().nodes
     with pytest.raises(ValueError, match=message):
         Topology(nodes=nodes, edges=edges, area=(10.0, 10.0))
+
+
+def test_topology_fields_cannot_be_reassigned():
+    # The adjacency is built from the edges once; a reassigned field would
+    # leave degree, neighbors and shortest_path on the old graph.
+    t = generate_erdos_renyi(5, 1.0, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.edges = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.nodes = []
+    assert len(t.edges) == 10 and degree(t, 0) == 4
 
 
 # ---------------------------------------------------------------- generation
@@ -213,6 +225,89 @@ def test_mobility_rejects_bad_arguments():
         step_mobility(t, 0.0, (1.0, 2.0), seed=1)
     with pytest.raises(ValueError):
         step_mobility(t, 1.0, (3.0, 2.0), seed=1)
+
+
+def dataclass_step_mobility(t, dt, speed_range, seed):
+    """Oracle: the mobility step as first written, keyword-built nodes included."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    lo, hi = speed_range
+    if not 0.0 <= lo <= hi:
+        raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
+    rng = random.Random(seed)
+    width, height = t.area
+
+    def uniform_in(low, high):
+        return low + (high - low) * rng.random()
+
+    def euclid(p, q):
+        return math.hypot(p[0] - q[0], p[1] - q[1])
+
+    moved = []
+    for node in t.nodes:
+        pos, vel, wp = node.position, node.velocity, node.waypoint
+        speed = math.hypot(*vel)
+        dist_to_wp = euclid(pos, wp)
+        if speed * dt >= dist_to_wp:
+            pos = wp
+            wp = (uniform_in(0.0, width), uniform_in(0.0, height))
+            speed = uniform_in(lo, hi) if hi > lo else lo
+            leg = euclid(pos, wp)
+            if speed > 0.0 and leg > 0.0:
+                vel = ((wp[0] - pos[0]) / leg * speed, (wp[1] - pos[1]) / leg * speed)
+            else:
+                vel = (0.0, 0.0)
+        else:
+            pos = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt)
+        pos = (min(max(pos[0], 0.0), width), min(max(pos[1], 0.0), height))
+        moved.append(NodeState(position=pos, velocity=vel,
+                               capacity_bps=node.capacity_bps, waypoint=wp))
+    return Topology(nodes=moved, edges=t.edges, area=t.area)
+
+
+def exact_nodes(t):
+    """Every coordinate of every node as float.hex, so -0.0 and NaN count."""
+    return [tuple(float.hex(v) for v in (*node.position, *node.velocity, *node.waypoint))
+            + (float.hex(node.capacity_bps),) for node in t.nodes]
+
+
+_coordinate = st.one_of(st.floats(-200.0, 1200.0),
+                        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+_point = st.tuples(_coordinate, _coordinate)
+_speeds = st.one_of(
+    st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2).map(lambda s: tuple(sorted(s))),
+    st.floats(0.0, 50.0).map(lambda v: (v, v)),    # lo == hi
+    st.floats(0.0, 50.0).map(lambda v: (0.0, v)),  # lo == 0
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    world=st.one_of(
+        # a generated world: nodes at rest inside the area
+        st.tuples(st.integers(1, 20), st.floats(0.0, 1.0), st.integers(0, 2**32)),
+        # hand-built nodes anywhere, moving anyhow, signed zeros and NaN included
+        st.lists(st.tuples(_point, _point, _point), min_size=1, max_size=12),
+    ),
+    area=st.one_of(st.sampled_from([(1000.0, 1000.0), (50.0, 2000.0), (1.0, 1.0)]),
+                   st.tuples(st.floats(0.5, 1000.0), st.floats(0.5, 1000.0))),
+    speeds=_speeds,
+    dt=st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 100.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_light_node_stepping_matches_the_dataclass_step(world, area, speeds, dt, seed):
+    if isinstance(world, tuple):
+        n, p, world_seed = world
+        t = generate_erdos_renyi(n, p, world_seed, area=area)
+    else:
+        nodes = [NodeState(position=pos, velocity=vel, capacity_bps=1000.0, waypoint=wp)
+                 for pos, vel, wp in world]
+        t = Topology(nodes=nodes, edges=(), area=area)
+    fast = slow = t
+    for k in range(30):
+        fast = step_mobility(fast, dt, speeds, seed + k)
+        slow = dataclass_step_mobility(slow, dt, speeds, seed + k)
+        assert exact_nodes(fast) == exact_nodes(slow)
 
 
 # ------------------------------------------------------------------ distance
