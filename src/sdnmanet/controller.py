@@ -40,6 +40,10 @@ class ControllerConfig:
     half_saturation_nodes: int = 40     # nodes at which latency reaches half the threshold
 
     def __post_init__(self) -> None:
+        for name in ("capacity_mu", "event_rate_lambda", "latency_threshold_ms", "sim_duration_s",
+                     "half_saturation_nodes"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.capacity_mu <= 0:
             raise ValueError("capacity_mu must be positive")
         if self.event_rate_lambda < 0:

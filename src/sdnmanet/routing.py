@@ -7,6 +7,7 @@ consumed by control messaging (reactive flooding vs. controller unicast).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .topology import Topology, shortest_path
@@ -46,6 +47,8 @@ class PathCostWeights:
         for node, weight in self.w.items():
             if weight <= 0.0:
                 raise ValueError(f"weight for node {node} must be positive")
+            if not math.isfinite(weight):
+                raise ValueError(f"weight for node {node} must be finite")
 
 
 def avg_path_cost(costs: list[float]) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,10 +42,11 @@ class Topology:
 
     Edges are unordered pairs ``(a, b)`` with ``a < b``, checked and indexed
     once at construction; mobility moves the nodes and keeps the edges. The
-    fields are frozen, so the index can never describe another graph.
+    fields are frozen and ``nodes`` is stored as a tuple (a list passed in is
+    copied), so the index can never describe another graph.
     """
 
-    nodes: list[NodeState]
+    nodes: tuple[NodeState, ...]
     edges: tuple[tuple[int, int], ...]
     area: tuple[float, float] = (1000.0, 1000.0)
     _adjacency: dict[int, tuple[int, ...]] = field(
@@ -52,6 +54,7 @@ class Topology:
     )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         n = len(self.nodes)
         neighbors: dict[int, list[int]] = {i: [] for i in range(n)}
         seen: set[tuple[int, int]] = set()
@@ -128,7 +131,7 @@ def generate_erdos_renyi(
         for b in range(a + 1, n):
             if rng.random() < p:
                 edges.append((a, b))
-    return Topology(nodes=nodes, edges=tuple(edges), area=area)
+    return Topology(nodes=tuple(nodes), edges=tuple(edges), area=area)
 
 
 def step_mobility(
@@ -174,7 +177,7 @@ def step_mobility(
         y = height if y > height else y
         moved.append(NodeState((x, y), vel, capacity_bps, wp))
     stepped = copy.copy(t)
-    object.__setattr__(stepped, "nodes", moved)
+    object.__setattr__(stepped, "nodes", tuple(moved))
     return stepped
 
 
@@ -202,30 +205,47 @@ def shortest_path(
     The cost of a path is ``sum(node_weight[i] * degree(i))`` over every node
     on it, including both endpoints. Ties between equal-cost paths break
     toward the lexicographically smallest node sequence. Raises
-    ``NoRouteError`` when ``dst`` cannot be reached.
+    ``NoRouteError`` when ``dst`` cannot be reached, and ``ValueError``
+    when a node's weight is missing, not positive or not finite.
+
+    A path is pushed only if its cost is no worse than the best pushed to
+    its last node: a strictly dearer one would pop after that node settled.
     """
     _check_node(t, src)
     _check_node(t, dst)
     n = len(t.nodes)
-    for i in range(n):
-        if i not in node_weight:
-            raise ValueError(f"node_weight missing node {i}")
-        if node_weight[i] <= 0.0:
-            raise ValueError(f"node_weight[{i}] must be positive")
-    entry = [node_weight[i] * len(t._adjacency[i]) for i in range(n)]
+    adjacency = t._adjacency
+    try:
+        weight = list(map(node_weight.__getitem__, range(n)))
+        valid = all(map(math.isfinite, weight)) and min(weight) > 0.0
+    except KeyError:
+        valid = False
+    if not valid:  # find the first bad node, in index order
+        for i in range(n):
+            if i not in node_weight:
+                raise ValueError(f"node_weight missing node {i}")
+            if node_weight[i] <= 0.0:
+                raise ValueError(f"node_weight[{i}] must be positive")
+            if not math.isfinite(node_weight[i]):
+                raise ValueError(f"node_weight[{i}] must be finite")
+    entry = list(map(operator.mul, weight, map(len, adjacency.values())))
+    best: list[float | None] = [math.inf] * n  # None once settled
     heap: list[tuple[float, tuple[int, ...]]] = [(entry[src], (src,))]
-    settled: set[int] = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost, path = heapq.heappop(heap)
+        cost, path = pop(heap)
         u = path[-1]
-        if u in settled:
+        if best[u] is None:
             continue
-        settled.add(u)
+        best[u] = None
         if u == dst:
             return list(path), cost
-        for v in t._adjacency[u]:
-            if v not in settled:
-                heapq.heappush(heap, (cost + entry[v], path + (v,)))
+        for v in adjacency[u]:
+            c = cost + entry[v]
+            b = best[v]
+            if b is not None and c <= b:
+                best[v] = c
+                push(heap, (c, path + (v,)))
     raise NoRouteError(f"no route from {src} to {dst}")
 
 

@@ -1,5 +1,6 @@
 """Path cost, update time, latency, and control-overhead model tests."""
 
+import math
 import random
 
 import pytest
@@ -106,6 +107,12 @@ def test_sdn_path_cost_never_beaten_by_any_simple_path():
 def test_path_weights_must_be_positive():
     with pytest.raises(ValueError):
         PathCostWeights({0: 0.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_path_weights_must_be_finite(bad):
+    with pytest.raises(ValueError, match="weight for node 1 must be finite"):
+        PathCostWeights({0: 1.0, 1: bad})
 
 
 # -------------------------------------------------------------- update time

@@ -1,6 +1,7 @@
 """Graph generation, mobility, distance, degree, path, and clustering tests."""
 
 import dataclasses
+import heapq
 import math
 import random
 
@@ -89,6 +90,19 @@ def test_topology_fields_cannot_be_reassigned():
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.nodes = []
     assert len(t.edges) == 10 and degree(t, 0) == 4
+
+
+def test_topology_nodes_cannot_grow():
+    # A node appended after construction would have no adjacency entry.
+    nodes = list(line_topology().nodes)
+    t = Topology(nodes=nodes, edges=((0, 1),), area=(10.0, 10.0))
+    nodes.append(nodes[0])  # the caller's list is copied, not kept
+    stepped = step_mobility(generate_erdos_renyi(5, 1.0, seed=1), 1.0, (1.0, 2.0), seed=2)
+    for topo in (t, generate_erdos_renyi(5, 1.0, seed=1), stepped):
+        assert isinstance(topo.nodes, tuple)
+        with pytest.raises(AttributeError):
+            topo.nodes.append(topo.nodes[0])
+    assert len(t.nodes) == 3 and degree(t, 2) == 0
 
 
 # ---------------------------------------------------------------- generation
@@ -380,6 +394,21 @@ def test_shortest_path_requires_full_weight_cover():
         shortest_path(t, 0, 2, {0: 1.0, 1: 1.0})
 
 
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "node_weight\\[2\\] must be finite"),
+    (math.inf, "node_weight\\[2\\] must be finite"),
+    (-math.inf, "node_weight\\[2\\] must be positive"),
+    (0.0, "node_weight\\[2\\] must be positive"),
+])
+def test_shortest_path_rejects_non_finite_and_non_positive_weights(bad, message):
+    # A NaN weight used to come back as the cost: ([0, 2, 5], nan).
+    t = generate_erdos_renyi(6, 0.6, seed=3)
+    weights = {i: 1.0 for i in range(6)}
+    weights[2] = bad
+    with pytest.raises(ValueError, match=message):
+        shortest_path(t, 0, 5, weights)
+
+
 def test_shortest_path_matches_exhaustive_oracle():
     rng = random.Random(4242)
     for trial in range(100):
@@ -395,6 +424,65 @@ def test_shortest_path_matches_exhaustive_oracle():
         path, cost = shortest_path(t, src, dst, weights)
         assert cost == pytest.approx(expected[0], rel=1e-12)
         assert tuple(path) == expected[1]  # lexicographic tie-break agrees
+
+
+def test_shortest_path_breaks_rounded_cost_ties_by_node_sequence():
+    # [0, 3] (cost 1) pops before [0, 1] (cost 2), but adding node 2's entry
+    # of 2**54 rounds both routes to 2**54, so [0, 1, 2], pushed second, wins.
+    t = diamond_topology()
+    weights = {0: 0.25, 1: 0.75, 2: 2.0**53, 3: 0.25}
+    assert shortest_path(t, 0, 2, weights) == ([0, 1, 2], 2.0**54)
+
+
+def heap_of_paths_shortest_path(t, src, dst, node_weight):
+    """Oracle: the search as first written, pushing every unsettled neighbour."""
+    n = len(t.nodes)
+    entry = [node_weight[i] * degree(t, i) for i in range(n)]
+    heap = [(entry[src], (src,))]
+    settled = set()
+    while heap:
+        cost, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == dst:
+            return list(path), cost
+        for v in t.neighbors(u):
+            if v not in settled:
+                heapq.heappush(heap, (cost + entry[v], path + (v,)))
+    raise NoRouteError(f"no route from {src} to {dst}")
+
+
+def route_or_none(search, t, src, dst, weights):
+    try:
+        return search(t, src, dst, weights)
+    except NoRouteError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    # sparse values leave graphs disconnected; dense ones give many equal-hop paths
+    p=st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.2, 1.0]), st.floats(0.0, 1.0)),
+    graph_seed=st.integers(0, 2**32),
+    weights=st.one_of(
+        st.just("unit"),  # every cost tie broken by the node sequence alone
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=40, max_size=40),
+        # a 2**53 weight rounds unequal sums to equal costs
+        st.lists(st.sampled_from([0.25, 0.75, 1.0, 2.0**53]), min_size=40, max_size=40),
+        st.lists(st.floats(1e-3, 1e3), min_size=40, max_size=40),
+    ),
+    src=st.integers(0, 39),
+)
+def test_pruned_search_matches_the_heap_of_paths_search(n, p, graph_seed, weights, src):
+    t = generate_erdos_renyi(n, p, graph_seed)
+    w = {i: 1.0 if weights == "unit" else weights[i] for i in range(n)}
+    src %= n
+    for dst in range(n):  # src itself and, on sparse graphs, unreachable nodes included
+        expected = route_or_none(heap_of_paths_shortest_path, t, src, dst, w)
+        assert route_or_none(shortest_path, t, src, dst, w) == expected
 
 
 # ---------------------------------------------------------------- clustering
