@@ -2,9 +2,10 @@
 
 Two deliberately decoupled views of the same bottleneck:
 
-* the request backlog follows literal queueing (a fluid bound plus a
-  discrete-event M/D/1 trace), growing without limit once the aggregate
-  event rate exceeds the service capacity;
+* the request backlog follows literal queueing (a fluid bound plus one
+  simulated M/D/1 realization that reports the backlog at the horizon),
+  growing without limit once the aggregate event rate exceeds the service
+  capacity;
 * the reported request latency follows a saturating curve that rises with
   network size but asymptotically respects the configured threshold.
 
@@ -17,16 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from .rng import arrival_times
+from .rng import arrival_times, poisson
 
 #: Fixed ratio between reported average and maximum request latency.
 AVG_TO_MAX_LATENCY = 0.6
-
-#: Sampling interval for queue traces, seconds.
-TRACE_SAMPLE_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -57,11 +54,9 @@ class ControllerConfig:
 
 
 @dataclass(frozen=True)
-class ControllerTrace:
-    """Sampled queue history of one controller simulation."""
+class QueueOutcome:
+    """What one controller simulation leaves at the horizon."""
 
-    times: tuple[float, ...]
-    queue_sizes: tuple[int, ...]
     served_latencies_ms: tuple[float, ...]
     final_backlog: int
 
@@ -74,47 +69,36 @@ def fluid_backlog(n: int, cfg: ControllerConfig) -> float:
     return max(0.0, excess * cfg.sim_duration_s)
 
 
-def simulate_queue(n: int, cfg: ControllerConfig, seed: int) -> ControllerTrace:
-    """Discrete-event trace of the controller queue.
+def simulate_queue(n: int, cfg: ControllerConfig, seed: int) -> QueueOutcome:
+    """One realization of the controller queue up to the horizon.
 
     Poisson arrivals at aggregate rate ``n * event_rate_lambda``,
-    deterministic service at ``capacity_mu``, FIFO order; the queue length
-    (requests arrived but not yet completed) is sampled every
-    ``TRACE_SAMPLE_S`` seconds, and the final backlog is that length at the
-    horizon itself. Bit-reproducible for a given seed.
+    deterministic service at ``capacity_mu``, FIFO order. Returns the
+    latencies of the requests completed by the horizon and the backlog
+    there: requests arrived but not completed. Bit-reproducible for a given
+    seed.
 
-    Arrivals are streamed, never stored: each is counted into the samples it
-    precedes and served at once, and serving stops at the first request that
-    misses the horizon, since completions never decrease.
+    Gaps are drawn only until the first request that completes past the
+    horizon, at arrival time ``a``: every later request completes later
+    still, and by the independent increments of a Poisson process the
+    arrivals left in (a, horizon] are one Poisson(rate * (horizon - a))
+    count.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
     horizon = cfg.sim_duration_s
     service = 1.0 / cfg.capacity_mu
-    times = [step * TRACE_SAMPLE_S for step in range(1, round(horizon / TRACE_SAMPLE_S) + 1)]
-    arrived_by: list[int] = []  # arrived_by[k]: arrivals at or before times[k]
-    bounds = iter([*times, math.inf])
-    next_ts = next(bounds)
-    departures: list[float] = []
+    rate = n * cfg.event_rate_lambda
+    rng = random.Random(seed)
     latencies: list[float] = []
-    arrived, prev_done = 0, 0.0
-    for arrived, a in enumerate(arrival_times(random.Random(seed), n * cfg.event_rate_lambda, horizon), 1):
-        while a > next_ts:  # close every sample this arrival comes after
-            arrived_by.append(arrived - 1)
-            next_ts = next(bounds)
-        if prev_done <= horizon:
-            done = (a if a > prev_done else prev_done) + service
-            prev_done = done
-            if done <= horizon:
-                departures.append(done)
-                latencies.append((done - a) * 1000.0)
-    arrived_by += [arrived] * (len(times) - len(arrived_by))
-    return ControllerTrace(
-        times=tuple(times),
-        queue_sizes=tuple(count - bisect_right(departures, ts) for count, ts in zip(arrived_by, times)),
-        served_latencies_ms=tuple(latencies),
-        final_backlog=arrived - len(departures),
-    )
+    arrived, done = 0, 0.0
+    for arrived, a in enumerate(arrival_times(rng, rate, horizon), 1):
+        done = (a if a > done else done) + service
+        if done > horizon:
+            arrived += poisson(rng, rate * (horizon - a))
+            break
+        latencies.append((done - a) * 1000.0)
+    return QueueOutcome(served_latencies_ms=tuple(latencies), final_backlog=arrived - len(latencies))
 
 
 def max_latency_model(n: int, cfg: ControllerConfig) -> float:

@@ -6,9 +6,10 @@ MT19937's ``random()`` output for a given seed is identical on every
 platform and CPython version, so a scenario seed fully determines every
 topology, mobility trace, and queue realization, bit for bit.
 
-Only ``random()`` is consumed directly; uniform draws, index draws and
-Poisson arrival times are derived from it here so the draw sequence never
-depends on library internals that carry weaker stability guarantees.
+Only ``random()`` is consumed directly; uniform draws, index draws,
+Poisson arrival times and Poisson counts are derived from it here so the
+draw sequence never depends on library internals that carry weaker
+stability guarantees.
 """
 
 from __future__ import annotations
@@ -50,6 +51,36 @@ def arrival_times(rng: random.Random, rate: float, horizon: float) -> Iterator[f
         t = -0.0  # -0.0 + x is x for every float, so the first time is the first gap
         while (t := t + -math.log(1.0 - rng.random()) / rate) <= horizon:
             yield t
+
+
+def poisson(rng: random.Random, mean: float) -> int:
+    """One Poisson(`mean`) count: inversion below mean 10, else Hormann's
+    transformed rejection with squeeze (PTRS, Insur. Math. Econ. 12, 1993)."""
+    if mean < 10.0:
+        k, p, u = 0, math.exp(-mean), rng.random()
+        total = p
+        while u > total and p > 0.0:  # p underflows only if rounding left total short of u
+            k += 1
+            p *= mean / k
+            total += p
+        return k
+    b = 0.931 + 2.53 * math.sqrt(mean)
+    a = -0.059 + 0.02483 * b
+    log_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    log_mean = math.log(mean)
+    while True:
+        u = rng.random() - 0.5
+        v = 1.0 - rng.random()  # in (0, 1], so log(v) is finite
+        us = 0.5 - abs(u)
+        if us < 0.013 and v > us:  # also rejects us == 0
+            continue
+        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return k
+        if k >= 0 and (math.log(v) + log_alpha - math.log(a / (us * us) + b)
+                       <= -mean + k * log_mean - math.lgamma(k + 1)):
+            return k
 
 
 def rand_index(rng: random.Random, n: int) -> int:

@@ -352,7 +352,7 @@ def sweep(cfg: ScenarioConfig) -> list[tuple[MetricsReport, MetricsReport]]:
                 try:
                     per_mode[mode].append(run_scenario(cfg, n, mode, run_seed))
                 except ValueError as exc:
-                    raise ValueError(f"sweep point n={n}, seed={run_seed}: {exc}") from exc
+                    raise ValueError(f"sweep point n={n}, seed={run_seed}, mode={mode}: {exc}") from exc
         pairs.append((_mean_reports(per_mode["traditional"]), _mean_reports(per_mode["sdn"])))
     return pairs
 

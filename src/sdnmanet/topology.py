@@ -148,9 +148,12 @@ def step_mobility(
     result shares ``t``'s edges and adjacency, which mobility never changes,
     so they are not checked again.
     """
+    lo, hi = speed_range
+    for name, value in (("dt", dt), ("min speed", lo), ("max speed", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    lo, hi = speed_range
     if not 0.0 <= lo <= hi:
         raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
     rng = random.Random(seed)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from sdnmanet import controller as ctl
 from sdnmanet.controller import fluid_backlog
 from sdnmanet.econ import CostParams
 from sdnmanet.simulator import (
@@ -212,6 +213,18 @@ def test_sweep_is_deterministic():
     again = ScenarioConfig(seeds_per_point=2, flow_samples=8)
     again.sweep = dataclasses.replace(again.sweep, start=20, end=80, step=30)
     assert sweep(cfg) == sweep(again)
+
+
+def test_sweep_error_names_point_seed_and_mode(monkeypatch):
+    def broken_queue(n, cfg, seed):
+        raise ValueError("queue exploded")
+
+    monkeypatch.setattr(ctl, "simulate_queue", broken_queue)
+    cfg = small_config()
+    cfg.sweep = dataclasses.replace(cfg.sweep, start=25, end=25, step=30)
+    with pytest.raises(ValueError) as info:
+        sweep(cfg)
+    assert str(info.value) == f"sweep point n=25, seed={cfg.seed}, mode=sdn: queue exploded"
 
 
 # ----------------------------------------------------------------- comparison

@@ -241,6 +241,25 @@ def test_mobility_rejects_bad_arguments():
         step_mobility(t, 1.0, (3.0, 2.0), seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_mobility_rejects_non_finite_dt(bad):
+    # A NaN step used to put every node at (nan, nan).
+    with pytest.raises(ValueError, match="dt must be finite"):
+        step_mobility(generate_erdos_renyi(3, 1.0, seed=1), bad, (1.0, 2.0), seed=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_mobility_rejects_non_finite_min_speed(bad):
+    with pytest.raises(ValueError, match="min speed must be finite"):
+        step_mobility(generate_erdos_renyi(3, 1.0, seed=1), 1.0, (bad, math.inf), seed=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_mobility_rejects_non_finite_max_speed(bad):
+    with pytest.raises(ValueError, match="max speed must be finite"):
+        step_mobility(generate_erdos_renyi(3, 1.0, seed=1), 1.0, (1.0, bad), seed=2)
+
+
 def dataclass_step_mobility(t, dt, speed_range, seed):
     """Oracle: the mobility step as first written, keyword-built nodes included."""
     if dt <= 0.0:
