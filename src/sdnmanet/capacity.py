@@ -166,28 +166,19 @@ def max_supported_nodes(
 ) -> int:
     """Largest node count whose effective capacity still covers demand.
 
-    Binary search over 1..n_max for the largest ``n`` with
-    ``effective_capacity(n) >= n * per_node_demand``; returns 0 when even a
-    single node cannot be served. ``topology_generator`` must return a
-    deterministic topology for each ``n``.
+    Scans ``n_max`` down to 1 for the largest ``n`` with
+    ``effective_capacity(n) >= n * per_node_demand``; returns 0 when no
+    ``n`` can be served. ``topology_generator`` must return a deterministic
+    topology for each ``n``. Each ``n`` draws its own graph, so a smaller
+    ``n`` may fail where a larger one passes, and no bisection is sound.
     """
     if per_node_demand <= 0.0:
         raise ValueError("per-node demand must be positive")
     if mode not in ("traditional", "sdn"):
         raise ValueError(f"mode must be 'traditional' or 'sdn', got {mode!r}")
-
-    def supportable(n: int) -> bool:
+    for n in range(n_max, 0, -1):
         t = topology_generator(n)
         breakdown = effective_capacity(mode, t, mean_speed, params, controller_capacity, 1.0)
-        return breakdown.effective >= n * per_node_demand
-
-    if not supportable(1):
-        return 0
-    lo, hi = 1, n_max
-    while lo < hi:  # invariant: supportable(lo); search for the last True
-        mid = (lo + hi + 1) // 2
-        if supportable(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+        if breakdown.effective >= n * per_node_demand:
+            return n
+    return 0

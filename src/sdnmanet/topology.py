@@ -52,6 +52,7 @@ class Topology:
     _adjacency: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _degree: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -69,6 +70,7 @@ class Topology:
             neighbors[a].append(b)
             neighbors[b].append(a)
         object.__setattr__(self, "_adjacency", {i: tuple(sorted(neighbors[i])) for i in range(n)})
+        object.__setattr__(self, "_degree", tuple(map(len, neighbors.values())))
 
     @property
     def edge_weight(self) -> dict[tuple[int, int], float]:
@@ -118,6 +120,9 @@ def generate_erdos_renyi(
         raise ValueError(f"link probability must be within [0, 1], got {p}")
     if node_capacity_bps <= 0.0:
         raise ValueError("node capacity must be positive")
+    for name, side in zip(("width", "height"), area):
+        if not 0.0 < side < math.inf:
+            raise ValueError(f"area {name} must be positive and finite, got {side}")
     rng = random.Random(seed)
     nodes = []
     for _ in range(n):
@@ -194,7 +199,7 @@ def distance(t: Topology, a: int, b: int) -> float:
 def degree(t: Topology, i: int) -> int:
     """Number of links incident to node ``i``."""
     _check_node(t, i)
-    return len(t._adjacency[i])
+    return t._degree[i]
 
 
 def shortest_path(
@@ -211,8 +216,12 @@ def shortest_path(
     ``NoRouteError`` when ``dst`` cannot be reached, and ``ValueError``
     when a node's weight is missing, not positive or not finite.
 
-    A path is pushed only if its cost is no worse than the best pushed to
-    its last node: a strictly dearer one would pop after that node settled.
+    When every ``weight * degree`` is a whole number and they sum below
+    2**53 (unit weights always do), every path cost is exact, and a
+    bidirectional search returns the same route and cost as the general
+    one. Otherwise a heap of paths keeps float rounding's tie-breaks: a path
+    is pushed only if its cost is no worse than the best pushed to its last
+    node, since a strictly dearer one would pop after that node settled.
     """
     _check_node(t, src)
     _check_node(t, dst)
@@ -220,7 +229,7 @@ def shortest_path(
     adjacency = t._adjacency
     try:
         weight = list(map(node_weight.__getitem__, range(n)))
-        valid = all(map(math.isfinite, weight)) and min(weight) > 0.0
+        valid = min(weight) > 0.0 and sum(weight) < math.inf  # a NaN or inf weight fails the sum
     except KeyError:
         valid = False
     if not valid:  # find the first bad node, in index order
@@ -231,7 +240,14 @@ def shortest_path(
                 raise ValueError(f"node_weight[{i}] must be positive")
             if not math.isfinite(node_weight[i]):
                 raise ValueError(f"node_weight[{i}] must be finite")
-    entry = list(map(operator.mul, weight, map(len, adjacency.values())))
+    entry = list(map(operator.mul, weight, t._degree))
+    if sum(entry) < 2**53:
+        try:
+            exact = all(map(float.is_integer, entry))
+        except TypeError:  # int entries; float.is_integer takes floats only
+            exact = all(map(float.is_integer, map(float, entry)))
+        if exact:
+            return _bidirectional_search(adjacency, entry, src, dst)
     best: list[float | None] = [math.inf] * n  # None once settled
     heap: list[tuple[float, tuple[int, ...]]] = [(entry[src], (src,))]
     pop, push = heapq.heappop, heapq.heappush
@@ -250,6 +266,73 @@ def shortest_path(
                 best[v] = c
                 push(heap, (c, path + (v,)))
     raise NoRouteError(f"no route from {src} to {dst}")
+
+
+def _bidirectional_search(
+    adjacency: dict[int, tuple[int, ...]], entry: list[float], src: int, dst: int
+) -> tuple[list[int], float]:
+    """``shortest_path`` for exact costs, searched from both ends at once.
+
+    ``df[v]`` is the cheapest cost found from ``src`` to ``v``, ``v``'s entry
+    included, and ``db[v]`` from ``v`` to ``dst`` without it. The search stops
+    only once the heap tops sum to more than ``mu``, the cheapest route seen
+    (Goldberg & Harrelson, SODA 2005), so every min-cost route is a forward-
+    settled prefix and a backward-settled suffix. ``db`` is extended over
+    those prefixes, and a walk from ``src`` takes the smallest tight neighbour.
+    """
+    n, inf = len(entry), math.inf
+    df, db = [inf] * n, [inf] * n
+    df[src], db[dst] = entry[src], 0
+    mu = entry[src] if src == dst else inf
+    heap_f, heap_b, settled_f = [(entry[src], src)], [(0, dst)], []
+    pop, push = heapq.heappop, heapq.heappush
+    while heap_f and heap_b:
+        top_f, top_b = heap_f[0][0], heap_b[0][0]
+        if top_f + top_b > mu:
+            break
+        if top_f <= top_b:
+            c, u = pop(heap_f)
+            if c > df[u]:  # stale: u settled cheaper
+                continue
+            settled_f.append(u)
+            for v in adjacency[u]:
+                cv = c + entry[v]
+                if cv < df[v]:
+                    df[v] = cv
+                    push(heap_f, (cv, v))
+                    if cv + db[v] < mu:
+                        mu = cv + db[v]
+        else:
+            c, u = pop(heap_b)
+            if c > db[u]:
+                continue
+            cv = c + entry[u]
+            for v in adjacency[u]:
+                if cv < db[v]:
+                    db[v] = cv
+                    push(heap_b, (cv, v))
+                    if df[v] + cv < mu:
+                        mu = df[v] + cv
+    if mu == inf:
+        raise NoRouteError(f"no route from {src} to {dst}")
+    for u in reversed(settled_f):  # latest first: a prefix node's successors come before it
+        cost = df[u]
+        for v in adjacency[u]:
+            if cost + entry[v] + db[v] == mu:
+                db[u] = mu - cost
+                break
+    path, u, cost = [src], src, entry[src]
+    while u != dst:
+        for v in adjacency[u]:
+            if cost + entry[v] + db[v] == mu:
+                break
+        else:
+            raise RuntimeError(f"route walk from {src} to {dst} stuck at node {u}")
+        if len(path) == n:
+            raise RuntimeError(f"route walk from {src} to {dst} exceeds {n} nodes")
+        path.append(v)
+        u, cost = v, cost + entry[v]
+    return path, cost
 
 
 def cluster(t: Topology, k: int, seed: int) -> Clustering:

@@ -9,6 +9,7 @@ from sdnmanet.capacity import (
     capacity_total,
     capacity_traditional,
     clustered_sliced_capacity,
+    effective_capacity,
     max_supported_nodes,
     overhead_bits,
     pairwise_packet_count,
@@ -173,6 +174,29 @@ def test_supported_nodes_nonincreasing_in_demand():
         if previous is not None:
             assert value <= previous
         previous = value
+
+
+@pytest.mark.parametrize("mode, demand, controller", [
+    ("traditional", 10_000.0, 0.0),
+    ("traditional", 12_500.0, 0.0),
+    ("sdn", 11_500.0, 10_000.0),
+    ("sdn", 13_000.0, 10_000.0),
+])
+def test_supported_nodes_match_an_exhaustive_scan(mode, demand, controller):
+    # Each n draws its own graph, so supportability is not monotone in n and
+    # a bisection can stop short: at 10,000 b/s, traditional mode fails at
+    # n = 37 and 45 but still supports 52, and bisecting returned 44.
+    gen = _generator(p=0.1)
+    supported = [
+        n for n in range(1, 61)
+        if effective_capacity(mode, gen(n), 5.5, OverheadParams(), controller, 1.0).effective
+        >= n * demand
+    ]
+    assert any(n not in supported for n in range(1, max(supported)))  # not monotone
+    result = max_supported_nodes(
+        mode, demand, OverheadParams(), gen, 5.5, controller_capacity=controller, n_max=60,
+    )
+    assert result == max(supported)
 
 
 def test_supported_nodes_rejects_bad_inputs():

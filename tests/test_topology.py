@@ -30,7 +30,7 @@ def brute_force_min_cost(t, src, dst, weights):
     def walk(node, visited, path, cost):
         nonlocal best
         if node == dst:
-            if best is None or (cost, path) < best:
+            if best is None or (cost, tuple(path)) < best:
                 best = (cost, tuple(path))
             return
         for nxt in t.neighbors(node):
@@ -128,6 +128,17 @@ def test_generation_rejects_bad_arguments():
         generate_erdos_renyi(5, -0.1, seed=1)
     with pytest.raises(ValueError):
         generate_erdos_renyi(5, 1.1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "bad", [-5.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"]
+)
+@pytest.mark.parametrize("side", ["width", "height"])
+def test_generation_rejects_a_bad_area_side(side, bad):
+    # A negative width used to place nodes at negative x, and a NaN one at x = nan.
+    area = (bad, 10.0) if side == "width" else (10.0, bad)
+    with pytest.raises(ValueError, match=f"area {side} must be positive and finite"):
+        generate_erdos_renyi(3, 1.0, seed=1, area=area)
 
 
 def test_edge_count_matches_binomial_statistics():
@@ -433,16 +444,18 @@ def test_shortest_path_matches_exhaustive_oracle():
     for trial in range(100):
         n = rng.randint(2, 8)
         t = generate_erdos_renyi(n, rng.uniform(0.3, 0.9), seed=trial)
-        weights = {i: rng.uniform(0.1, 5.0) for i in range(n)}
+        random_weights = {i: rng.uniform(0.1, 5.0) for i in range(n)}
         src, dst = rng.sample(range(n), 2)
-        expected = brute_force_min_cost(t, src, dst, weights)
-        if expected is None:
-            with pytest.raises(NoRouteError):
-                shortest_path(t, src, dst, weights)
-            continue
-        path, cost = shortest_path(t, src, dst, weights)
-        assert cost == pytest.approx(expected[0], rel=1e-12)
-        assert tuple(path) == expected[1]  # lexicographic tie-break agrees
+        # Unit weights tie many routes, so brute force checks the tie-break.
+        for weights in (random_weights, {i: 1.0 for i in range(n)}):
+            expected = brute_force_min_cost(t, src, dst, weights)
+            if expected is None:
+                with pytest.raises(NoRouteError):
+                    shortest_path(t, src, dst, weights)
+                continue
+            path, cost = shortest_path(t, src, dst, weights)
+            assert cost == pytest.approx(expected[0], rel=1e-12)
+            assert tuple(path) == expected[1]  # lexicographic tie-break agrees
 
 
 def test_shortest_path_breaks_rounded_cost_ties_by_node_sequence():
@@ -474,10 +487,36 @@ def heap_of_paths_shortest_path(t, src, dst, node_weight):
 
 
 def route_or_none(search, t, src, dst, weights):
+    """The route, its cost and the cost's type (int weights give int costs)."""
     try:
-        return search(t, src, dst, weights)
+        path, cost = search(t, src, dst, weights)
     except NoRouteError:
         return None
+    return path, cost, type(cost)
+
+
+def weight_lists(size):
+    return st.one_of(
+        st.just("unit"),  # every cost tie broken by the node sequence alone
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=size, max_size=size),
+        # a 2**53 weight rounds unequal sums to equal costs
+        st.lists(st.sampled_from([0.25, 0.75, 1.0, 2.0**53]), min_size=size, max_size=size),
+        st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size),
+        # whole-number costs, which the bidirectional search takes
+        st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=size, max_size=size),
+        # whole numbers whose entry sums cross 2**53, on both sides of the bound
+        st.lists(st.sampled_from([1.0, 2.0, 3.0, 2.0**51, 2.0**52]), min_size=size, max_size=size),
+        st.lists(st.integers(1, 4), min_size=size, max_size=size),  # Python ints
+    )
+
+
+def assert_every_destination_matches(n, p, graph_seed, weights, src):
+    t = generate_erdos_renyi(n, p, graph_seed)
+    w = {i: 1.0 if weights == "unit" else weights[i] for i in range(n)}
+    src %= n
+    for dst in range(n):  # src itself and, on sparse graphs, unreachable nodes included
+        expected = route_or_none(heap_of_paths_shortest_path, t, src, dst, w)
+        assert route_or_none(shortest_path, t, src, dst, w) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -486,22 +525,25 @@ def route_or_none(search, t, src, dst, weights):
     # sparse values leave graphs disconnected; dense ones give many equal-hop paths
     p=st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.2, 1.0]), st.floats(0.0, 1.0)),
     graph_seed=st.integers(0, 2**32),
-    weights=st.one_of(
-        st.just("unit"),  # every cost tie broken by the node sequence alone
-        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=40, max_size=40),
-        # a 2**53 weight rounds unequal sums to equal costs
-        st.lists(st.sampled_from([0.25, 0.75, 1.0, 2.0**53]), min_size=40, max_size=40),
-        st.lists(st.floats(1e-3, 1e3), min_size=40, max_size=40),
-    ),
+    weights=weight_lists(40),
     src=st.integers(0, 39),
 )
 def test_pruned_search_matches_the_heap_of_paths_search(n, p, graph_seed, weights, src):
-    t = generate_erdos_renyi(n, p, graph_seed)
-    w = {i: 1.0 if weights == "unit" else weights[i] for i in range(n)}
-    src %= n
-    for dst in range(n):  # src itself and, on sparse graphs, unreachable nodes included
-        expected = route_or_none(heap_of_paths_shortest_path, t, src, dst, w)
-        assert route_or_none(shortest_path, t, src, dst, w) == expected
+    assert_every_destination_matches(n, p, graph_seed, weights, src)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(41, 150),
+    p=st.sampled_from([0.01, 0.02, 0.03, 0.05]),  # the sweep's sparse band
+    graph_seed=st.integers(0, 2**32),
+    weights=weight_lists(150),
+    src=st.integers(0, 149),
+)
+def test_pruned_search_matches_the_heap_of_paths_search_on_larger_graphs(
+    n, p, graph_seed, weights, src
+):
+    assert_every_destination_matches(n, p, graph_seed, weights, src)
 
 
 # ---------------------------------------------------------------- clustering
