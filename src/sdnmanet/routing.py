@@ -33,6 +33,8 @@ class RoutingParams:
             "reconfig_base_ms", "controller_compute_ms", "controller_rtt_ms",
             "discovery_flood_factor", "sdn_update_rate_per_node_s", "control_msg_bits",
         ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 

@@ -17,6 +17,7 @@ the 50-node reference comparison lands on a 25% hardware-cost reduction,
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, fields
 
@@ -79,6 +80,11 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise ValueError naming the offending dotted field path."""
+        for prefix, settings in (("", self), ("sweep.", self.sweep), ("topology.", self.topology)):
+            for f in fields(settings):
+                value = getattr(settings, f.name)
+                if isinstance(value, (int, float)) and not math.isfinite(value):
+                    raise ValueError(f"{prefix}{f.name} must be finite")
         if self.sweep.start < 1:
             raise ValueError("sweep.start must be at least 1")
         if self.sweep.step < 1:
@@ -237,7 +243,6 @@ def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[i
     if n < 2:
         return [], 0
     rng = random.Random(seed)
-    weights = {i: 1.0 for i in range(n)}
     hops: list[int] = []
     for _ in range(cfg.flow_samples):
         src = rand_index(rng, n)
@@ -245,7 +250,7 @@ def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[i
         if dst >= src:
             dst += 1
         try:
-            path, _ = shortest_path(topo, src, dst, weights)
+            path, _ = shortest_path(topo, src, dst)
             hops.append(len(path) - 1)
         except NoRouteError:
             pass

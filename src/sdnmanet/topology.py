@@ -15,7 +15,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .rng import rand_index, uniform_in
 
@@ -206,15 +206,15 @@ def shortest_path(
     t: Topology,
     src: int,
     dst: int,
-    node_weight: dict[int, float],
+    node_weight: dict[int, float] | None = None,
 ) -> tuple[list[int], float]:
     """Minimum-cost path where cost is the sum of weight*degree over path nodes.
 
     The cost of a path is ``sum(node_weight[i] * degree(i))`` over every node
-    on it, including both endpoints. Ties between equal-cost paths break
-    toward the lexicographically smallest node sequence. Raises
-    ``NoRouteError`` when ``dst`` cannot be reached, and ``ValueError``
-    when a node's weight is missing, not positive or not finite.
+    on it, endpoints included; without ``node_weight`` every node weighs 1 and
+    the cost is an ``int``. Ties break toward the lexicographically smallest
+    node sequence. Raises ``NoRouteError`` when ``dst`` cannot be reached, and
+    ``ValueError`` when a node's weight is missing, not positive or not finite.
 
     When every ``weight * degree`` is a whole number and they sum below
     2**53 (unit weights always do), every path cost is exact, and a
@@ -227,6 +227,8 @@ def shortest_path(
     _check_node(t, dst)
     n = len(t.nodes)
     adjacency = t._adjacency
+    if node_weight is None:  # unit weights: the entries are the degrees, all exact
+        return _bidirectional_search(adjacency, t._degree, src, dst)
     try:
         weight = list(map(node_weight.__getitem__, range(n)))
         valid = min(weight) > 0.0 and sum(weight) < math.inf  # a NaN or inf weight fails the sum
@@ -269,7 +271,7 @@ def shortest_path(
 
 
 def _bidirectional_search(
-    adjacency: dict[int, tuple[int, ...]], entry: list[float], src: int, dst: int
+    adjacency: dict[int, tuple[int, ...]], entry: Sequence[float], src: int, dst: int
 ) -> tuple[list[int], float]:
     """``shortest_path`` for exact costs, searched from both ends at once.
 
@@ -279,6 +281,8 @@ def _bidirectional_search(
     (Goldberg & Harrelson, SODA 2005), so every min-cost route is a forward-
     settled prefix and a backward-settled suffix. ``db`` is extended over
     those prefixes, and a walk from ``src`` takes the smallest tight neighbour.
+    Tops never fall and ``mu`` never rises, so an entry is pushed only if it
+    plus the other top is within ``mu``: any other could never pop.
     """
     n, inf = len(entry), math.inf
     df, db = [inf] * n, [inf] * n
@@ -299,9 +303,10 @@ def _bidirectional_search(
                 cv = c + entry[v]
                 if cv < df[v]:
                     df[v] = cv
-                    push(heap_f, (cv, v))
                     if cv + db[v] < mu:
                         mu = cv + db[v]
+                    if cv + top_b <= mu:
+                        push(heap_f, (cv, v))
         else:
             c, u = pop(heap_b)
             if c > db[u]:
@@ -310,9 +315,10 @@ def _bidirectional_search(
             for v in adjacency[u]:
                 if cv < db[v]:
                     db[v] = cv
-                    push(heap_b, (cv, v))
                     if df[v] + cv < mu:
                         mu = df[v] + cv
+                    if top_f + cv <= mu:
+                        push(heap_b, (cv, v))
     if mu == inf:
         raise NoRouteError(f"no route from {src} to {dst}")
     for u in reversed(settled_f):  # latest first: a prefix node's successors come before it

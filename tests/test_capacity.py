@@ -1,5 +1,8 @@
 """Overhead model and effective-capacity tests."""
 
+import dataclasses
+import math
+
 import pytest
 
 from sdnmanet.capacity import (
@@ -204,3 +207,10 @@ def test_supported_nodes_rejects_bad_inputs():
         max_supported_nodes("sdn", 0.0, OverheadParams(), _generator(), 5.5)
     with pytest.raises(ValueError):
         max_supported_nodes("mesh", 1.0, OverheadParams(), _generator(), 5.5)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(OverheadParams)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_overhead_params_reject_non_finite_values(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        OverheadParams(**{name: bad})

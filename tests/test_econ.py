@@ -1,5 +1,6 @@
 """CAPEX/OPEX, crossover, efficiency, allocation, and risk tests."""
 
+import dataclasses
 import math
 import random
 
@@ -285,3 +286,10 @@ def test_security_risk_scales_with_impact():
         assert security_risk(RiskProfile(scaled)) == pytest.approx(
             k * security_risk(RiskProfile(vulns)), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostParams)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_cost_params_reject_non_finite_values(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CostParams(**{name: bad})

@@ -1,5 +1,6 @@
 """Utilization curve shape, ordering, and bottleneck tests."""
 
+import math
 import random
 
 import pytest
@@ -100,3 +101,12 @@ def test_params_reject_nonpositive_values():
         ResourceCurveParams(cpu_alpha=0.0)
     with pytest.raises(ValueError):
         ResourceCurveParams(storage_saturation_n=-5.0)
+
+
+@pytest.mark.parametrize("name", [f"{kind}_{part}" for kind in RESOURCE_KINDS
+                                  for part in ("alpha", "saturation_n")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_curve_params_reject_non_finite_values(name, bad):
+    # A NaN alpha fails no sign check, and utilization("cpu", 10, ...) would read 100.0.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ResourceCurveParams(**{name: bad})

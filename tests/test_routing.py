@@ -1,5 +1,6 @@
 """Path cost, update time, latency, and control-overhead model tests."""
 
+import dataclasses
 import math
 import random
 
@@ -251,3 +252,11 @@ def test_traditional_overhead_superlinear_sdn_linear():
     assert trad[200] / trad[100] > 3.0
     assert trad[100] / trad[50] > 3.0
     assert sdn[200] == 2 * sdn[100] == 4 * sdn[50]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RoutingParams)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_routing_params_reject_non_finite_values(name, bad):
+    # A NaN per_hop_delay_ms fails no sign check and would come back as the SDN latency.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RoutingParams(**{name: bad})

@@ -1,16 +1,23 @@
 """Scenario runs, sweep aggregation, and comparison-ratio tests."""
 
 import dataclasses
+import math
+import random
+import re
 
 import pytest
 
 from sdnmanet import controller as ctl
 from sdnmanet.controller import fluid_backlog
 from sdnmanet.econ import CostParams
+from sdnmanet.rng import rand_index
 from sdnmanet.simulator import (
     ComparisonRow,
     MetricsReport,
     ScenarioConfig,
+    SweepSettings,
+    TopologySettings,
+    _sample_hops,
     compare,
     pdr_model,
     rediscovery_rate,
@@ -18,6 +25,7 @@ from sdnmanet.simulator import (
     sweep,
     throughput_model,
 )
+from sdnmanet.topology import NoRouteError, generate_erdos_renyi, shortest_path
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -283,4 +291,50 @@ def test_config_validation_names_field_paths():
         cfg.validate()
     cfg = ScenarioConfig(seeds_per_point=0)
     with pytest.raises(ValueError, match="seeds_per_point"):
+        cfg.validate()
+
+
+# ------------------------------------------------------------------ hop sampling
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n):
+    # Shaped like the flow_heavy workload's end points: sparse, 1000 flows.
+    cfg = small_config(flow_samples=1000)
+    topo = generate_erdos_renyi(n, 0.03, seed=11)
+    hops, total = _sample_hops(cfg, topo, 5)
+    rng, unit, expected = random.Random(5), {i: 1.0 for i in range(n)}, []
+    for _ in range(1000):
+        src = rand_index(rng, n)
+        dst = rand_index(rng, n - 1)
+        dst += dst >= src
+        try:
+            expected.append(len(shortest_path(topo, src, dst, unit)[0]) - 1)
+        except NoRouteError:
+            pass
+    assert total == 1000 and hops == expected
+    assert max(hops) > 2
+
+
+NUMERIC_CONFIG_FIELDS = [
+    (section, f.name)
+    for section, settings in (("", ScenarioConfig()), ("sweep", SweepSettings()),
+                              ("topology", TopologySettings()))
+    for f in dataclasses.fields(settings)
+    if isinstance(getattr(settings, f.name), (int, float))
+]
+
+
+@pytest.mark.parametrize("section, name", NUMERIC_CONFIG_FIELDS,
+                         ids=[f"{s}.{n}" if s else n for s, n in NUMERIC_CONFIG_FIELDS])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_config_validation_rejects_non_finite_values(section, name, bad):
+    # NaN fails no range check; a NaN sim_duration_s would be reported as
+    # "controller.sim_duration_s must equal sim_duration_s".
+    cfg = ScenarioConfig()
+    if section:
+        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{name: bad}))
+    else:
+        setattr(cfg, name, bad)
+    path = f"{section}.{name}" if section else name
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} must be finite$"):
         cfg.validate()

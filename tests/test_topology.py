@@ -4,11 +4,13 @@ import dataclasses
 import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdnmanet import topology
 from sdnmanet.topology import (
     NodeState,
     NoRouteError,
@@ -544,6 +546,68 @@ def test_pruned_search_matches_the_heap_of_paths_search_on_larger_graphs(
     n, p, graph_seed, weights, src
 ):
     assert_every_destination_matches(n, p, graph_seed, weights, src)
+
+
+def route_or_error(t, src, dst, weights=None):
+    """The route and cost of ``shortest_path``, or the type and text of its error."""
+    try:
+        if weights is None:
+            return shortest_path(t, src, dst)
+        return shortest_path(t, src, dst, weights)
+    except (NoRouteError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    # sparse values leave isolated nodes (entry 0) and unreachable pairs
+    p=st.one_of(st.sampled_from([0.0, 0.03, 0.1, 1.0]), st.floats(0.0, 1.0)),
+    graph_seed=st.integers(0, 2**32),
+    src=st.integers(-1, 60),
+)
+def test_default_unit_weights_match_explicit_unit_weights(n, p, graph_seed, src):
+    t = generate_erdos_renyi(n, p, graph_seed)
+    unit = {i: 1.0 for i in range(n)}
+    for dst in range(-1, n + 1):  # src itself, unreachable nodes and both out-of-range indices
+        default = route_or_error(t, src, dst)
+        assert default == route_or_error(t, src, dst, unit)
+        if isinstance(default[0], list):
+            assert type(default[1]) is int
+
+
+def test_default_unit_weights_on_an_isolated_node_and_a_line():
+    line = line_topology()
+    t = Topology(nodes=line.nodes + line.nodes[:1], edges=line.edges, area=line.area)
+    assert shortest_path(t, 3, 3) == ([3], 0)  # node 3 is isolated: entry 0
+    path, cost = shortest_path(t, 0, 2)
+    assert (path, cost, type(cost)) == ([0, 1, 2], 4, int)
+    with pytest.raises(NoRouteError, match="no route from 0 to 3"):
+        shortest_path(t, 0, 3)
+    with pytest.raises(IndexError, match="node 4 not in topology of 4 nodes"):
+        shortest_path(t, 0, 4)
+
+
+@pytest.mark.parametrize("edges, src, dst, route, pushes", [
+    # Star with centre 0 (degree 8): once the backward search settles the
+    # centre, its other leaves would cost 9 + 9 > mu = 10 and never pop.
+    (tuple((0, leaf) for leaf in range(1, 9)), 1, 2, ([1, 0, 2], 10), [(1, 0), (9, 0)]),
+    # Line 0-1-2-3: leaf 0 behind the source would cost 3, and 3 plus the
+    # backward top of 3 exceeds mu = 5, so the forward search pushes nothing.
+    (((0, 1), (1, 2), (2, 3)), 1, 3, ([1, 2, 3], 5), [(1, 2), (3, 1)]),
+], ids=["star", "line"])
+def test_search_pushes_no_entry_that_cannot_pop(monkeypatch, edges, src, dst, route, pushes):
+    pushed = []
+
+    def push(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    n = 1 + max(b for _, b in edges)
+    t = Topology(nodes=line_topology().nodes[:1] * n, edges=edges, area=(10.0, 10.0))
+    monkeypatch.setattr(topology, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    assert shortest_path(t, src, dst) == route
+    assert sorted(pushed) == pushes
 
 
 # ---------------------------------------------------------------- clustering
