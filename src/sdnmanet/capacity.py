@@ -48,6 +48,17 @@ class CapacityGains:
     sliced_share: float = 0.4
     sliced_gain: float = 1.5
 
+    def __post_init__(self) -> None:
+        for name in ("clustered_share", "clustered_gain", "sliced_share", "sliced_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("clustered_share", "sliced_share"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1]")
+        for name in ("clustered_gain", "sliced_gain"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
+
 
 @dataclass(frozen=True)
 class CapacityBreakdown:

@@ -47,6 +47,9 @@ class EfficiencyParams:
     eta_optimization: float  # > 1, centralized-optimization uplift
 
     def __post_init__(self) -> None:
+        for name in ("useful_data", "total_bandwidth", "eta_optimization"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0 <= self.useful_data <= self.total_bandwidth:
             raise ValueError("useful_data must be within [0, total_bandwidth]")
         if self.eta_optimization <= 1.0:
@@ -63,6 +66,8 @@ class RiskProfile:
         for prob, impact in self.vulnerabilities:
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"probability {prob} outside [0, 1]")
+            if not math.isfinite(impact):
+                raise ValueError(f"impact {impact} must be finite")
             if impact < 0.0:
                 raise ValueError("impact must be non-negative")
 

@@ -85,6 +85,8 @@ class ScenarioConfig:
                 value = getattr(settings, f.name)
                 if isinstance(value, (int, float)) and not math.isfinite(value):
                     raise ValueError(f"{prefix}{f.name} must be finite")
+                if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                    raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
         if self.sweep.start < 1:
             raise ValueError("sweep.start must be at least 1")
         if self.sweep.step < 1:

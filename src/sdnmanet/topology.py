@@ -9,7 +9,6 @@ share nothing and still agree bit for bit.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import operator
@@ -56,21 +55,25 @@ class Topology:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        n = len(self.nodes)
-        neighbors: dict[int, list[int]] = {i: [] for i in range(n)}
-        seen: set[tuple[int, int]] = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop on node {a}")
-            if not (0 <= a < b < n):
-                raise ValueError(f"edge ({a}, {b}) has invalid endpoints for n={n}")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
+        n, edges = len(self.nodes), self.edges
+        a_ends, b_ends = zip(*edges) if edges else ((), ())  # whole-list checks, in C
+        if not (all(map(operator.lt, a_ends, b_ends)) and min(a_ends, default=0) >= 0
+                and max(b_ends, default=0) < n and len(set(edges)) == len(edges)):
+            seen: set[tuple[int, int]] = set()  # name the first bad edge, one at a time
+            for a, b in edges:
+                if a == b:
+                    raise ValueError(f"self-loop on node {a}")
+                if not (0 <= a < b < n):
+                    raise ValueError(f"edge ({a}, {b}) has invalid endpoints for n={n}")
+                if (a, b) in seen:
+                    raise ValueError(f"duplicate edge ({a}, {b})")
+                seen.add((a, b))
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for a, b in edges:
             neighbors[a].append(b)
             neighbors[b].append(a)
-        object.__setattr__(self, "_adjacency", {i: tuple(sorted(neighbors[i])) for i in range(n)})
-        object.__setattr__(self, "_degree", tuple(map(len, neighbors.values())))
+        object.__setattr__(self, "_adjacency", dict(enumerate(map(tuple, map(sorted, neighbors)))))
+        object.__setattr__(self, "_degree", tuple(map(len, neighbors)))
 
     @property
     def edge_weight(self) -> dict[tuple[int, int], float]:
@@ -131,11 +134,16 @@ def generate_erdos_renyi(
             NodeState(position=pos, velocity=(0.0, 0.0),
                       capacity_bps=node_capacity_bps, waypoint=pos)
         )
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < p:
-                edges.append((a, b))
+    edges: list[tuple[int, int]] = []
+    if p > 0.0:  # skip sampling (Batagelj & Brandes 2005): one geometric gap draw per edge
+        pairs, k, a, row_end = n * (n - 1) // 2, -1, 0, n - 1
+        log_q, log, draw = (math.log1p(-p) if p < 1.0 else -math.inf), math.log, rng.random
+        while (gap := log(1.0 - draw()) / log_q) < pairs - k - 1:  # else past the last pair
+            k += 1 + int(gap)  # k indexes the pairs in lexicographic order
+            while k >= row_end:  # row a holds the pair indices up to row_end - 1
+                a += 1
+                row_end += n - 1 - a
+            edges.append((a, k - row_end + n))
     return Topology(nodes=tuple(nodes), edges=tuple(edges), area=area)
 
 
@@ -161,31 +169,32 @@ def step_mobility(
         raise ValueError("dt must be positive")
     if not 0.0 <= lo <= hi:
         raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     width, height = t.area
-    hypot = math.hypot
+    hypot, node = math.hypot, tuple.__new__
     moved: list[NodeState] = []
-    for pos, vel, capacity_bps, wp in t.nodes:
-        if hypot(vel[0], vel[1]) * dt >= hypot(pos[0] - wp[0], pos[1] - wp[1]):
+    for (px, py), vel, capacity_bps, wp in t.nodes:
+        (vx, vy), (wx, wy) = vel, wp
+        if hypot(vx, vy) * dt >= hypot(px - wx, py - wy):
             # Arrived: land on the waypoint and pick the next leg.
-            x, y = wp
-            wp = (uniform_in(rng, 0.0, width), uniform_in(rng, 0.0, height))
-            speed = uniform_in(rng, lo, hi) if hi > lo else lo
-            leg = hypot(x - wp[0], y - wp[1])
+            x, y = wx, wy
+            wp = wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
+            speed = lo + (hi - lo) * draw() if hi > lo else lo
+            leg = hypot(x - wx, y - wy)
             if speed > 0.0 and leg > 0.0:
-                vel = ((wp[0] - x) / leg * speed, (wp[1] - y) / leg * speed)
+                vel = ((wx - x) / leg * speed, (wy - y) / leg * speed)
             else:
                 vel = (0.0, 0.0)
         else:
-            x, y = pos[0] + vel[0] * dt, pos[1] + vel[1] * dt
+            x, y = px + vx * dt, py + vy * dt
         # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
         x = 0.0 if x < 0.0 else x
         x = width if x > width else x
         y = 0.0 if y < 0.0 else y
         y = height if y > height else y
-        moved.append(NodeState((x, y), vel, capacity_bps, wp))
-    stepped = copy.copy(t)
-    object.__setattr__(stepped, "nodes", tuple(moved))
+        moved.append(node(NodeState, ((x, y), vel, capacity_bps, wp)))
+    stepped = object.__new__(Topology)  # t's edges and index, unchecked: mobility keeps them
+    vars(stepped).update(vars(t), nodes=tuple(moved))
     return stepped
 
 

@@ -1,0 +1,52 @@
+"""Rewrite the golden files from the CLI, byte for byte as the tests compare them.
+
+Run it only for a declared output change, then review the diff:
+
+    python tests/golden/regen.py
+
+* ``metrics.csv`` and ``comparison.csv``: ``sdnmanet sweep`` on the calibrated
+  defaults (an empty config), verbatim;
+* ``charts.sha256``: the SHA-256 of each chart of that sweep, in
+  ``sha256sum`` format;
+* ``capacity_n1000.csv``: the stdout of ``sdnmanet capacity
+  scenarios/reference.cfg --n 1000 --quiet``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+ROOT = GOLDEN.parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from sdnmanet.cli import main  # noqa: E402
+
+
+def regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp, "default.cfg"), Path(tmp, "out")
+        scenario.write_text("# calibrated defaults\n", encoding="utf-8")
+        if main(["sweep", str(scenario), "--out", str(out), "--quiet"]) != 0:
+            raise SystemExit("sweep failed")
+        for name in ("metrics.csv", "comparison.csv"):
+            (GOLDEN / name).write_bytes((out / name).read_bytes())
+        charts = sorted(path for path in out.iterdir() if path.suffix == ".svg")
+        (GOLDEN / "charts.sha256").write_text(
+            "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in charts),
+            encoding="utf-8", newline="\n")
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = main(["capacity", str(ROOT / "scenarios" / "reference.cfg"), "--n", "1000", "--quiet"])
+    if code != 0:
+        raise SystemExit("capacity failed")
+    (GOLDEN / "capacity_n1000.csv").write_bytes(captured.getvalue().encode("utf-8"))
+
+
+if __name__ == "__main__":
+    regenerate()

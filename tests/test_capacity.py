@@ -214,3 +214,18 @@ def test_supported_nodes_rejects_bad_inputs():
 def test_overhead_params_reject_non_finite_values(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         OverheadParams(**{name: bad})
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CapacityGains)])
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "must be finite"), (math.inf, "must be finite"), (-0.5, "must be"),
+], ids=["nan", "inf", "negative"])
+def test_capacity_gains_reject_bad_values(name, bad, message):
+    # A NaN gain used to make clustered_sliced_capacity return nan.
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        CapacityGains(**{name: bad})
+    if name.endswith("share"):
+        with pytest.raises(ValueError, match=rf"^{name} must be within \[0, 1\]$"):
+            CapacityGains(**{name: 1.5})
+    else:
+        assert clustered_sliced_capacity(1.0, CapacityGains(**{name: 3.0})) > 0.0

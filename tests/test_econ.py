@@ -293,3 +293,21 @@ def test_security_risk_scales_with_impact():
 def test_cost_params_reject_non_finite_values(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         CostParams(**{name: bad})
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EfficiencyParams)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_efficiency_params_reject_non_finite_values(name, bad):
+    # An infinite total_bandwidth used to give an efficiency of 0.0.
+    values = {"useful_data": 50.0, "total_bandwidth": 100.0, "eta_optimization": 1.2, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        EfficiencyParams(**values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_risk_profile_rejects_non_finite_values(bad):
+    # A NaN impact used to make security_risk return nan.
+    with pytest.raises(ValueError, match="^impact .* must be finite$"):
+        RiskProfile(((0.1, 2.0), (0.5, bad)))
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        RiskProfile(((bad, 2.0),))

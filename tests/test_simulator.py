@@ -338,3 +338,21 @@ def test_config_validation_rejects_non_finite_values(section, name, bad):
     path = f"{section}.{name}" if section else name
     with pytest.raises(ValueError, match=f"^{re.escape(path)} must be finite$"):
         cfg.validate()
+
+
+INTEGER_CONFIG_FIELDS = ["seed", "seeds_per_point", "flow_samples", "reference_n",
+                         "sweep.start", "sweep.end", "sweep.step"]
+
+
+@pytest.mark.parametrize("path", INTEGER_CONFIG_FIELDS)
+@pytest.mark.parametrize("bad", [2.5, 30.0, True], ids=["fraction", "whole-float", "bool"])
+def test_config_validation_rejects_non_integer_counts(path, bad):
+    # flow_samples = 2.5 used to pass, then fail in run_scenario with a TypeError naming no key.
+    cfg = ScenarioConfig()
+    section, _, name = path.rpartition(".")
+    if section:
+        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{name: bad}))
+    else:
+        setattr(cfg, name, bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} must be an integer, got {bad!r}$"):
+        cfg.validate()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnmanet import topology
+from sdnmanet.rng import uniform_in
 from sdnmanet.topology import (
     NodeState,
     NoRouteError,
@@ -107,6 +109,56 @@ def test_topology_nodes_cannot_grow():
     assert len(t.nodes) == 3 and degree(t, 2) == 0
 
 
+def per_edge_index(n, edges):
+    """Oracle: the construction check and index as first written, one edge at a time."""
+    neighbors = {i: [] for i in range(n)}
+    seen = set()
+    for a, b in edges:
+        if a == b:
+            raise ValueError(f"self-loop on node {a}")
+        if not (0 <= a < b < n):
+            raise ValueError(f"edge ({a}, {b}) has invalid endpoints for n={n}")
+        if (a, b) in seen:
+            raise ValueError(f"duplicate edge ({a}, {b})")
+        seen.add((a, b))
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    return {i: tuple(sorted(neighbors[i])) for i in range(n)}, tuple(map(len, neighbors.values()))
+
+
+@st.composite
+def edge_lists(draw):
+    """A valid edge set in any order, with up to three faults inserted anywhere."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    end = st.integers(-3, n + 2)  # negative and out-of-range ends included
+    fault = st.one_of(end.map(lambda a: (a, a)), st.tuples(end, end))
+    if edges:
+        fault = st.one_of(fault, st.sampled_from(edges),  # a duplicate
+                          st.sampled_from(edges).map(lambda e: (e[1], e[0])))  # reversed
+    for bad in draw(st.lists(fault, max_size=3)):
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_lists())
+def test_construction_matches_the_per_edge_check(case):
+    n, edges = case
+    nodes = [NodeState((float(i), 0.0), (0.0, 0.0), 1000.0, (float(i), 0.0)) for i in range(n)]
+    try:
+        adjacency, degrees = per_edge_index(n, edges)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as raised:
+            Topology(nodes=nodes, edges=tuple(edges), area=(10.0, 10.0))
+        assert str(raised.value) == str(expected)
+        return
+    t = Topology(nodes=nodes, edges=tuple(edges), area=(10.0, 10.0))
+    assert list(t._adjacency.items()) == list(adjacency.items())
+    assert t._degree == degrees
+
+
 # ---------------------------------------------------------------- generation
 
 def test_single_node_has_no_edges():
@@ -117,10 +169,14 @@ def test_full_probability_gives_complete_graph():
     t = generate_erdos_renyi(5, 1.0, seed=1)
     assert len(t.edges) == 10
     assert all(degree(t, i) == 4 for i in range(5))
+    for n in (1, 2, 3, 17, 60):  # every pair in lexicographic order, an int p included
+        for p in (1.0, 1):
+            assert generate_erdos_renyi(n, p, seed=n).edges == tuple(itertools.combinations(range(n), 2))
 
 
 def test_zero_probability_gives_empty_graph():
-    assert generate_erdos_renyi(10, 0.0, seed=3).edges == ()
+    for n in (1, 2, 10, 60):
+        assert generate_erdos_renyi(n, 0.0, seed=3).edges == ()
 
 
 def test_generation_rejects_bad_arguments():
@@ -171,6 +227,84 @@ def test_handshake_lemma_on_random_graphs():
     for s in range(20):
         t = generate_erdos_renyi(40, 0.15, seed=s)
         assert sum(degree(t, i) for i in range(40)) == 2 * len(t.edges)
+
+
+def per_pair_erdos_renyi(n, p, seed, area=(1000.0, 1000.0), node_capacity_bps=15_000.0):
+    """Oracle: G(n, p) as first written, one draw per node pair after the positions."""
+    rng = random.Random(seed)
+    nodes = []
+    for _ in range(n):
+        pos = (uniform_in(rng, 0.0, area[0]), uniform_in(rng, 0.0, area[1]))
+        nodes.append(NodeState(position=pos, velocity=(0.0, 0.0),
+                               capacity_bps=node_capacity_bps, waypoint=pos))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    return Topology(nodes=tuple(nodes), edges=tuple(edges), area=area)
+
+
+def skip_walk_edges(n, p, seed):
+    """Oracle for the pair walk: the same geometric gaps, indexed into a list of all pairs."""
+    rng = random.Random(seed)
+    for _ in range(2 * n):  # the positions' draws
+        rng.random()
+    pairs = list(itertools.combinations(range(n), 2))
+    if p == 0.0 or p == 1.0:
+        return tuple(pairs) if p == 1.0 else ()
+    edges, k = [], -1
+    while True:
+        gap = math.log(1.0 - rng.random()) / math.log1p(-p)
+        if k + 1 + gap >= len(pairs):
+            return tuple(edges)
+        k += 1 + math.floor(gap)
+        edges.append(pairs[k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 45),
+    p=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0 - 2**-53, 1.0])),
+    seed=st.integers(0, 2**32),
+    area=st.tuples(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0)),
+)
+def test_skip_sampling_keeps_positions_and_walks_every_pair(n, p, seed, area):
+    t = generate_erdos_renyi(n, p, seed, area=area)
+    assert exact_nodes(t) == exact_nodes(per_pair_erdos_renyi(n, p, seed, area=area))
+    assert t.edges == skip_walk_edges(n, p, seed)
+    assert list(t.edges) == sorted(set(t.edges))  # unique, a < b, lexicographic
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300])
+@pytest.mark.parametrize("n", [2, 50, 1000])
+def test_vanishing_probability_gives_no_edges_without_overflow(n, p):
+    # The gap log(1 - u) / log1p(-p) overflows to inf at p = 5e-324; it must
+    # end the walk before any int() conversion.
+    for seed in range(5):
+        assert generate_erdos_renyi(n, p, seed).edges == ()
+
+
+def test_edge_count_mean_and_variance_match_the_binomial():
+    # Binomial(780, 0.1): mean 78, variance 70.2. Over 2000 seeds the sample
+    # mean has standard error 0.19 and the sample variance about 2.2.
+    pairs, p, seeds = 40 * 39 // 2, 0.1, 2000
+    counts = [len(generate_erdos_renyi(40, p, seed=s).edges) for s in range(seeds)]
+    mean = sum(counts) / seeds
+    variance = sum((c - mean) ** 2 for c in counts) / (seeds - 1)
+    assert abs(mean - pairs * p) <= 4 * math.sqrt(pairs * p * (1 - p) / seeds)
+    assert abs(variance - pairs * p * (1 - p)) <= 4 * pairs * p * (1 - p) * math.sqrt(2 / (seeds - 1))
+
+
+def test_every_pair_is_included_with_probability_p():
+    # Chi-square over the 66 pairs of n = 12: each pair's inclusion count over
+    # 3000 seeds is Binomial(3000, 0.3), independently of the others.
+    n, p, seeds = 12, 0.3, 3000
+    counts = dict.fromkeys(itertools.combinations(range(n), 2), 0)
+    for s in range(seeds):
+        for edge in generate_erdos_renyi(n, p, seed=s).edges:
+            counts[edge] += 1
+    chi2 = sum((c - seeds * p) ** 2 for c in counts.values()) / (seeds * p * (1 - p))
+    df = len(counts)
+    # Upper 1e-4 quantile of chi-square(df), Wilson-Hilferty: z = 3.719.
+    critical = df * (1 - 2 / (9 * df) + 3.719 * math.sqrt(2 / (9 * df))) ** 3
+    assert chi2 < critical
 
 
 # ------------------------------------------------------------------ mobility
