@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .topology import Topology, _euclid
+from .topology import Topology
 # Unused here, but bench/test_sweep_bench.py checks that its tracer wraps this binding.
 from .topology import distance  # noqa: F401
 
@@ -84,11 +84,8 @@ def pairwise_packet_count(
     """
     if window_s <= 0.0:
         raise ValueError("window must be positive")
-    pos = [node.position for node in t.nodes]
-    total = 0
-    for a, b in t.edges:
-        total += round(params.pair_coefficient * _euclid(pos[a], pos[b]) * mean_speed * window_s)
-    return total
+    pos, dist, coefficient = t.positions, math.dist, params.pair_coefficient
+    return sum([round(coefficient * dist(pos[a], pos[b]) * mean_speed * window_s) for a, b in t.edges])
 
 
 def overhead_bits(packets: int, params: OverheadParams) -> float:
@@ -99,7 +96,7 @@ def overhead_bits(packets: int, params: OverheadParams) -> float:
 
 
 def capacity_sdn(
-    node_capacities: list[float],
+    node_capacities: Sequence[float],
     controller_capacity: float,
     overhead: float,
 ) -> CapacityBreakdown:
@@ -118,7 +115,7 @@ def capacity_sdn(
 
 
 def capacity_traditional(
-    node_capacities: list[float],
+    node_capacities: Sequence[float],
     flood_overhead: float,
 ) -> CapacityBreakdown:
     """Node capacities minus flooding overhead; no controller term."""
@@ -151,10 +148,9 @@ def effective_capacity(
     """
     packets = pairwise_packet_count(t, mean_speed, params, window_s)
     rate = overhead_bits(packets, params) / window_s
-    caps = [node.capacity_bps for node in t.nodes]
     if mode == "sdn":
-        return capacity_sdn(caps, controller_capacity, rate)
-    return capacity_traditional(caps, params.flood_multiplier * rate)
+        return capacity_sdn(t.capacities_bps, controller_capacity, rate)
+    return capacity_traditional(t.capacities_bps, params.flood_multiplier * rate)
 
 
 def capacity_total(clustered: float, sliced: float) -> float:

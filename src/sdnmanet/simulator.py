@@ -241,7 +241,7 @@ def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[i
     Returns (hop counts of routable flows, total flows sampled); flows with
     no route are counted in the total only, and become lost packets.
     """
-    n = len(topo.nodes)
+    n = len(topo.positions)
     if n < 2:
         return [], 0
     rng = random.Random(seed)

@@ -39,13 +39,17 @@ class NodeState(NamedTuple):
 class Topology:
     """Undirected graph over mobile nodes.
 
-    Edges are unordered pairs ``(a, b)`` with ``a < b``, checked and indexed
-    once at construction; mobility moves the nodes and keeps the edges. The
-    fields are frozen and ``nodes`` is stored as a tuple (a list passed in is
-    copied), so the index can never describe another graph.
+    Node state is kept as four columns in ``NodeState`` field order; ``nodes``
+    rebuilds the records. Edges are unordered pairs ``(a, b)`` with ``a < b``,
+    checked and indexed once at construction; mobility moves the nodes and
+    keeps the edges. The fields are frozen and every column is a tuple (a list
+    passed in is copied), so the index can never describe another graph.
     """
 
-    nodes: tuple[NodeState, ...]
+    positions: tuple[tuple[float, float], ...]   # meters
+    velocities: tuple[tuple[float, float], ...]  # meters/second, each points at its waypoint
+    capacities_bps: tuple[float, ...]            # bits/second
+    waypoints: tuple[tuple[float, float], ...]   # meters
     edges: tuple[tuple[int, int], ...]
     area: tuple[float, float] = (1000.0, 1000.0)
     _adjacency: dict[int, tuple[int, ...]] = field(
@@ -54,8 +58,12 @@ class Topology:
     _degree: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        n, edges = len(self.nodes), self.edges
+        n, edges = len(self.positions), self.edges
+        for name in ("positions", "velocities", "capacities_bps", "waypoints"):
+            column = tuple(getattr(self, name))
+            if len(column) != n:
+                raise ValueError(f"{name} has {len(column)} entries, positions has {n}")
+            object.__setattr__(self, name, column)
         a_ends, b_ends = zip(*edges) if edges else ((), ())  # whole-list checks, in C
         if not (all(map(operator.lt, a_ends, b_ends)) and min(a_ends, default=0) >= 0
                 and max(b_ends, default=0) < n and len(set(edges)) == len(edges)):
@@ -76,10 +84,15 @@ class Topology:
         object.__setattr__(self, "_degree", tuple(map(len, neighbors)))
 
     @property
+    def nodes(self) -> tuple[NodeState, ...]:
+        """One ``NodeState`` per node, built from the columns on each read."""
+        return tuple(map(NodeState, self.positions, self.velocities, self.capacities_bps, self.waypoints))
+
+    @property
     def edge_weight(self) -> dict[tuple[int, int], float]:
         """Edge lengths in meters at the current positions, floored."""
-        pos = [node.position for node in self.nodes]
-        return {(a, b): max(_euclid(pos[a], pos[b]), _MIN_EDGE_WEIGHT) for a, b in self.edges}
+        pos, dist = self.positions, math.dist
+        return {(a, b): max(dist(pos[a], pos[b]), _MIN_EDGE_WEIGHT) for a, b in self.edges}
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         _check_node(self, i)
@@ -95,12 +108,8 @@ class Clustering:
 
 
 def _check_node(t: Topology, i: int) -> None:
-    if not isinstance(i, int) or not 0 <= i < len(t.nodes):
-        raise IndexError(f"node {i} not in topology of {len(t.nodes)} nodes")
-
-
-def _euclid(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
+    if not isinstance(i, int) or not 0 <= i < len(t.positions):
+        raise IndexError(f"node {i} not in topology of {len(t.positions)} nodes")
 
 
 def generate_erdos_renyi(
@@ -127,13 +136,7 @@ def generate_erdos_renyi(
         if not 0.0 < side < math.inf:
             raise ValueError(f"area {name} must be positive and finite, got {side}")
     rng = random.Random(seed)
-    nodes = []
-    for _ in range(n):
-        pos = (uniform_in(rng, 0.0, area[0]), uniform_in(rng, 0.0, area[1]))
-        nodes.append(
-            NodeState(position=pos, velocity=(0.0, 0.0),
-                      capacity_bps=node_capacity_bps, waypoint=pos)
-        )
+    positions = tuple([(uniform_in(rng, 0.0, area[0]), uniform_in(rng, 0.0, area[1])) for _ in range(n)])
     edges: list[tuple[int, int]] = []
     if p > 0.0:  # skip sampling (Batagelj & Brandes 2005): one geometric gap draw per edge
         pairs, k, a, row_end = n * (n - 1) // 2, -1, 0, n - 1
@@ -144,7 +147,7 @@ def generate_erdos_renyi(
                 a += 1
                 row_end += n - 1 - a
             edges.append((a, k - row_end + n))
-    return Topology(nodes=tuple(nodes), edges=tuple(edges), area=area)
+    return Topology(positions, ((0.0, 0.0),) * n, (node_capacity_bps,) * n, positions, tuple(edges), area)
 
 
 def step_mobility(
@@ -158,8 +161,8 @@ def step_mobility(
     A node moves toward its waypoint at its current speed; on arrival it
     draws a new waypoint uniformly in the area and a new speed uniformly in
     ``speed_range`` (the arrival consumes the remainder of the step). The
-    result shares ``t``'s edges and adjacency, which mobility never changes,
-    so they are not checked again.
+    result shares ``t``'s edges, adjacency and capacities, which mobility
+    never changes, so they are not checked again.
     """
     lo, hi = speed_range
     for name, value in (("dt", dt), ("min speed", lo), ("max speed", hi)):
@@ -169,22 +172,21 @@ def step_mobility(
         raise ValueError("dt must be positive")
     if not 0.0 <= lo <= hi:
         raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
-    draw = random.Random(seed).random
     width, height = t.area
-    hypot, node = math.hypot, tuple.__new__
-    moved: list[NodeState] = []
-    for (px, py), vel, capacity_bps, wp in t.nodes:
-        (vx, vy), (wx, wy) = vel, wp
+    hypot, draw = math.hypot, random.Random(seed).random
+    velocities, waypoints = list(t.velocities), list(t.waypoints)
+    moved: list[tuple[float, float]] = []
+    for (px, py), (vx, vy), (wx, wy) in zip(t.positions, t.velocities, t.waypoints):
         if hypot(vx, vy) * dt >= hypot(px - wx, py - wy):
             # Arrived: land on the waypoint and pick the next leg.
-            x, y = wx, wy
-            wp = wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
+            x, y, i = wx, wy, len(moved)
+            waypoints[i] = wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
             speed = lo + (hi - lo) * draw() if hi > lo else lo
             leg = hypot(x - wx, y - wy)
             if speed > 0.0 and leg > 0.0:
-                vel = ((wx - x) / leg * speed, (wy - y) / leg * speed)
+                velocities[i] = ((wx - x) / leg * speed, (wy - y) / leg * speed)
             else:
-                vel = (0.0, 0.0)
+                velocities[i] = (0.0, 0.0)
         else:
             x, y = px + vx * dt, py + vy * dt
         # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
@@ -192,9 +194,10 @@ def step_mobility(
         x = width if x > width else x
         y = 0.0 if y < 0.0 else y
         y = height if y > height else y
-        moved.append(node(NodeState, ((x, y), vel, capacity_bps, wp)))
+        moved.append((x, y))
     stepped = object.__new__(Topology)  # t's edges and index, unchecked: mobility keeps them
-    vars(stepped).update(vars(t), nodes=tuple(moved))
+    vars(stepped).update(vars(t), positions=tuple(moved),
+                         velocities=tuple(velocities), waypoints=tuple(waypoints))
     return stepped
 
 
@@ -202,7 +205,7 @@ def distance(t: Topology, a: int, b: int) -> float:
     """Euclidean distance in meters between nodes ``a`` and ``b``."""
     _check_node(t, a)
     _check_node(t, b)
-    return _euclid(t.nodes[a].position, t.nodes[b].position)
+    return math.dist(t.positions[a], t.positions[b])
 
 
 def degree(t: Topology, i: int) -> int:
@@ -234,7 +237,7 @@ def shortest_path(
     """
     _check_node(t, src)
     _check_node(t, dst)
-    n = len(t.nodes)
+    n = len(t.positions)
     adjacency = t._adjacency
     if node_weight is None:  # unit weights: the entries are the degrees, all exact
         return _bidirectional_search(adjacency, t._degree, src, dst)
@@ -357,7 +360,7 @@ def cluster(t: Topology, k: int, seed: int) -> Clustering:
     cluster's head is its member nearest the final centroid. Deterministic
     given the seed.
     """
-    n = len(t.nodes)
+    positions, n = t.positions, len(t.positions)
     if not 1 <= k <= n:
         raise ValueError(f"cluster count must be within [1, {n}], got {k}")
     rng = random.Random(seed)
@@ -365,7 +368,6 @@ def cluster(t: Topology, k: int, seed: int) -> Clustering:
     for j in range(k):  # partial Fisher-Yates for k distinct seeds
         swap = j + rand_index(rng, n - j)
         order[j], order[swap] = order[swap], order[j]
-    positions = [node.position for node in t.nodes]
     centroids = [positions[order[j]] for j in range(k)]
 
     def nearest(pos: tuple[float, float]) -> int:
@@ -399,7 +401,7 @@ def cluster(t: Topology, k: int, seed: int) -> Clustering:
             members = [i for i in range(n) if assign[i] == donor]
             far = max(
                 members,
-                key=lambda i: (_euclid(positions[i], centroids[donor]), -i),
+                key=lambda i: (math.dist(positions[i], centroids[donor]), -i),
             )
             assign[far] = c
             centroids[c] = positions[far]
@@ -407,5 +409,5 @@ def cluster(t: Topology, k: int, seed: int) -> Clustering:
     heads = []
     for c in range(k):
         members = [i for i in range(n) if assign[i] == c]
-        heads.append(min(members, key=lambda i: (_euclid(positions[i], centroids[c]), i)))
+        heads.append(min(members, key=lambda i: (math.dist(positions[i], centroids[c]), i)))
     return Clustering(assignments={i: assign[i] for i in range(n)}, heads=tuple(heads))

@@ -1,9 +1,12 @@
 """Overhead model and effective-capacity tests."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdnmanet.capacity import (
     CapacityGains,
@@ -18,6 +21,7 @@ from sdnmanet.capacity import (
     pairwise_packet_count,
 )
 from sdnmanet.topology import NodeState, Topology, distance, generate_erdos_renyi
+from test_topology import from_records
 
 
 def two_node_topology(gap_m: float) -> Topology:
@@ -25,7 +29,7 @@ def two_node_topology(gap_m: float) -> Topology:
         NodeState(position=(0.0, 0.0), velocity=(0.0, 0.0), capacity_bps=1000.0, waypoint=(0.0, 0.0)),
         NodeState(position=(gap_m, 0.0), velocity=(0.0, 0.0), capacity_bps=1000.0, waypoint=(gap_m, 0.0)),
     ]
-    return Topology(nodes=nodes, edges=((0, 1),), area=(2 * gap_m, 2 * gap_m))
+    return from_records(nodes, ((0, 1),), (2 * gap_m, 2 * gap_m))
 
 
 # ----------------------------------------------------------- pairwise model
@@ -53,6 +57,60 @@ def test_pairwise_packets_match_double_loop_oracle():
                 if i < j and (i, j) in edge_set:
                     expected += round(0.003 * distance(t, i, j) * 4.0 * 7.0)
         assert pairwise_packet_count(t, 4.0, params, 7.0) == expected
+
+
+def per_edge_packet_count(t, mean_speed, params, window_s):
+    """Oracle: the packet count as first written, one Python iteration per edge."""
+    if window_s <= 0.0:
+        raise ValueError("window must be positive")
+    pos = [node.position for node in t.nodes]
+    total = 0
+    for a, b in t.edges:
+        (ax, ay), (bx, by) = pos[a], pos[b]
+        total += round(params.pair_coefficient * math.hypot(ax - bx, ay - by) * mean_speed * window_s)
+    return total
+
+
+_coordinate = st.one_of(st.floats(0.0, 1000.0), st.floats(1e6 - 1.0, 1e6 + 1.0),
+                        st.sampled_from([0.0, -0.0, 1e6, 1e6 - 2**-30, 1e6 + 2**-30]))
+
+
+@st.composite
+def packet_worlds(draw):
+    """Up to 12 nodes on at most 6 distinct spots (so nodes often coincide), any edge set."""
+    spots = draw(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6))
+    n = draw(st.integers(1, 12))
+    records = [NodeState(p, (0.0, 0.0), 1000.0, p) for p in draw(
+        st.lists(st.sampled_from(spots), min_size=n, max_size=n))]
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return from_records(records, tuple(edges))
+
+
+_coincident = from_records([NodeState((5.0, 5.0), (0.0, 0.0), 1.0, (5.0, 5.0))] * 3, ((0, 1), (0, 2), (1, 2)))
+_near_1e6 = from_records([NodeState(p, (0.0, 0.0), 1.0, p)
+                          for p in ((1e6, 1e6), (1e6 - 0.5, 1e6), (1e6 + 2**-30, 1e6 - 2**-30))],
+                         ((0, 1), (0, 2), (1, 2)))
+_half_way = two_node_topology(6.428571428571428)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=packet_worlds(),
+    coefficient=st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.001, 0.003])),
+    mean_speed=st.floats(0.0, 50.0),
+    window_s=st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 7.0])),
+)
+@example(t=_coincident, coefficient=0.5, mean_speed=3.0, window_s=1.0)
+@example(t=_near_1e6, coefficient=1.0, mean_speed=1.0, window_s=1.0)  # edge (0, 1): 0.5 rounds to 0
+@example(t=_near_1e6, coefficient=3.0, mean_speed=1.0, window_s=1.0)  # edge (0, 1): 1.5 rounds to 2
+# 0.1 * d * 3 * 7 rounds to 13; every other association of the product rounds to 14
+@example(t=_half_way, coefficient=0.1, mean_speed=3.0, window_s=7.0)
+def test_pairwise_packets_match_the_per_edge_loop(t, coefficient, mean_speed, window_s):
+    params = OverheadParams(pair_coefficient=coefficient)
+    packets = pairwise_packet_count(t, mean_speed, params, window_s)
+    assert packets == per_edge_packet_count(t, mean_speed, params, window_s)
+    assert type(packets) is int
 
 
 def test_pairwise_packets_grow_with_n_in_expectation():

@@ -8,7 +8,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdnmanet import topology
@@ -49,6 +49,11 @@ def brute_force_min_cost(t, src, dst, weights):
     return best
 
 
+def from_records(records, edges=(), area=(10.0, 10.0)):
+    """A topology whose columns are read off ``NodeState`` records, in field order."""
+    return Topology(*zip(*records), edges=edges, area=area)
+
+
 def line_topology(weights=None):
     """A - B - C with unit edge weights at fixed positions."""
     nodes = [
@@ -56,8 +61,7 @@ def line_topology(weights=None):
                   capacity_bps=1000.0, waypoint=(float(i), 0.0))
         for i in range(3)
     ]
-    edges = ((0, 1), (1, 2))
-    return Topology(nodes=nodes, edges=edges, area=(10.0, 10.0))
+    return from_records(nodes, ((0, 1), (1, 2)))
 
 
 def diamond_topology():
@@ -67,8 +71,7 @@ def diamond_topology():
                   capacity_bps=1000.0, waypoint=(float(i), 0.0))
         for i in range(4)
     ]
-    edges = ((0, 1), (0, 3), (1, 2), (2, 3))  # A=0, B=1, C=2, D=3
-    return Topology(nodes=nodes, edges=edges, area=(10.0, 10.0))
+    return from_records(nodes, ((0, 1), (0, 3), (1, 2), (2, 3)))  # A=0, B=1, C=2, D=3
 
 
 # ------------------------------------------------------------- construction
@@ -82,7 +85,36 @@ def diamond_topology():
 def test_topology_rejects_malformed_edges(edges, message):
     nodes = line_topology().nodes
     with pytest.raises(ValueError, match=message):
-        Topology(nodes=nodes, edges=edges, area=(10.0, 10.0))
+        from_records(nodes, edges)
+
+
+COLUMNS = ("positions", "velocities", "capacities_bps", "waypoints")
+
+
+@pytest.mark.parametrize("column, message", [
+    ("positions", "velocities has 3 entries, positions has 2"),
+    ("velocities", "velocities has 2 entries, positions has 3"),
+    ("capacities_bps", "capacities_bps has 2 entries, positions has 3"),
+    ("waypoints", "waypoints has 2 entries, positions has 3"),
+])
+def test_topology_rejects_columns_of_different_lengths(column, message):
+    t = line_topology()
+    columns = {name: getattr(t, name) for name in COLUMNS}
+    columns[column] = columns[column][:2]  # 2 entries against 3
+    with pytest.raises(ValueError) as raised:
+        Topology(**columns, edges=(), area=t.area)
+    assert str(raised.value) == message
+
+
+def test_records_round_trip_through_the_columns():
+    records = [NodeState((1.5, -0.0), (0.25, 3.0), 700.0, (9.0, 2.0)),
+               NodeState((0.0, 4.0), (0.0, 0.0), 15_000.0, (0.0, 4.0))]
+    t = from_records(records, ((0, 1),))
+    assert all(type(node) is NodeState for node in t.nodes)
+    assert t.nodes == tuple(records) and hash(t.nodes) == hash(tuple(records))
+    again = from_records(t.nodes, t.edges)
+    assert again == t and hash(again) == hash(t)
+    assert t.positions == ((1.5, -0.0), (0.0, 4.0)) and t.capacities_bps == (700.0, 15_000.0)
 
 
 def test_topology_fields_cannot_be_reassigned():
@@ -98,15 +130,18 @@ def test_topology_fields_cannot_be_reassigned():
 
 def test_topology_nodes_cannot_grow():
     # A node appended after construction would have no adjacency entry.
-    nodes = list(line_topology().nodes)
-    t = Topology(nodes=nodes, edges=((0, 1),), area=(10.0, 10.0))
-    nodes.append(nodes[0])  # the caller's list is copied, not kept
+    line = line_topology()
+    columns = [list(getattr(line, name)) for name in COLUMNS]
+    t = Topology(*columns, edges=((0, 1),), area=(10.0, 10.0))
+    for column in columns:
+        column.append(column[0])  # the caller's lists are copied, not kept
     stepped = step_mobility(generate_erdos_renyi(5, 1.0, seed=1), 1.0, (1.0, 2.0), seed=2)
     for topo in (t, generate_erdos_renyi(5, 1.0, seed=1), stepped):
-        assert isinstance(topo.nodes, tuple)
-        with pytest.raises(AttributeError):
-            topo.nodes.append(topo.nodes[0])
-    assert len(t.nodes) == 3 and degree(t, 2) == 0
+        for column in [topo.nodes] + [getattr(topo, name) for name in COLUMNS]:
+            assert isinstance(column, tuple)
+            with pytest.raises(AttributeError):
+                column.append(column[0])
+    assert len(t.nodes) == len(t.positions) == 3 and degree(t, 2) == 0
 
 
 def per_edge_index(n, edges):
@@ -151,10 +186,10 @@ def test_construction_matches_the_per_edge_check(case):
         adjacency, degrees = per_edge_index(n, edges)
     except ValueError as expected:
         with pytest.raises(ValueError) as raised:
-            Topology(nodes=nodes, edges=tuple(edges), area=(10.0, 10.0))
+            from_records(nodes, tuple(edges))
         assert str(raised.value) == str(expected)
         return
-    t = Topology(nodes=nodes, edges=tuple(edges), area=(10.0, 10.0))
+    t = from_records(nodes, tuple(edges))
     assert list(t._adjacency.items()) == list(adjacency.items())
     assert t._degree == degrees
 
@@ -238,7 +273,7 @@ def per_pair_erdos_renyi(n, p, seed, area=(1000.0, 1000.0), node_capacity_bps=15
         nodes.append(NodeState(position=pos, velocity=(0.0, 0.0),
                                capacity_bps=node_capacity_bps, waypoint=pos))
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-    return Topology(nodes=tuple(nodes), edges=tuple(edges), area=area)
+    return from_records(nodes, tuple(edges), area)
 
 
 def skip_walk_edges(n, p, seed):
@@ -267,7 +302,7 @@ def skip_walk_edges(n, p, seed):
 )
 def test_skip_sampling_keeps_positions_and_walks_every_pair(n, p, seed, area):
     t = generate_erdos_renyi(n, p, seed, area=area)
-    assert exact_nodes(t) == exact_nodes(per_pair_erdos_renyi(n, p, seed, area=area))
+    assert exact_columns(t) == exact_columns(per_pair_erdos_renyi(n, p, seed, area=area))
     assert t.edges == skip_walk_edges(n, p, seed)
     assert list(t.edges) == sorted(set(t.edges))  # unique, a < b, lexicographic
 
@@ -318,9 +353,9 @@ def test_zero_speed_range_leaves_positions_unchanged():
 def test_linear_motion_toward_waypoint():
     node = NodeState(position=(0.0, 0.0), velocity=(5.0, 0.0),
                      capacity_bps=1000.0, waypoint=(10.0, 0.0))
-    t = Topology(nodes=[node], edges=(), area=(20.0, 20.0))
+    t = from_records([node], area=(20.0, 20.0))
     stepped = step_mobility(t, 1.0, (1.0, 1.0), seed=2)
-    assert stepped.nodes[0].position == (5.0, 0.0)
+    assert stepped.positions == ((5.0, 0.0),) and stepped.nodes[0].position == (5.0, 0.0)
 
 
 def test_mobility_preserves_nodes_and_bounds():
@@ -345,7 +380,7 @@ def test_mobility_checks_the_graph_only_at_construction(monkeypatch):
     check = Topology.__post_init__
 
     def counted(t):
-        checked.append(len(t.nodes))
+        checked.append(len(t.positions))
         check(t)
 
     monkeypatch.setattr(Topology, "__post_init__", counted)
@@ -371,7 +406,7 @@ def test_topology_invariants_hold_under_mobility(n, p, area, speeds, dt, steps, 
     for k in range(steps):
         t = step_mobility(t, dt, tuple(speeds), seed + k)
     assert t.edges == start.edges
-    fresh = Topology(nodes=t.nodes, edges=t.edges, area=area)
+    fresh = from_records(t.nodes, t.edges, area)
     assert [t.neighbors(i) for i in range(n)] == [fresh.neighbors(i) for i in range(n)]
     for node in t.nodes:
         assert 0.0 <= node.position[0] <= area[0]
@@ -442,15 +477,24 @@ def dataclass_step_mobility(t, dt, speed_range, seed):
         pos = (min(max(pos[0], 0.0), width), min(max(pos[1], 0.0), height))
         moved.append(NodeState(position=pos, velocity=vel,
                                capacity_bps=node.capacity_bps, waypoint=wp))
-    return Topology(nodes=moved, edges=t.edges, area=t.area)
+    return from_records(moved, t.edges, t.area)
 
 
-def exact_nodes(t):
-    """Every coordinate of every node as float.hex, so -0.0 and NaN count."""
-    return [tuple(float.hex(v) for v in (*node.position, *node.velocity, *node.waypoint))
-            + (float.hex(node.capacity_bps),) for node in t.nodes]
+def exact_columns(t):
+    """Every entry of every column as float.hex, so -0.0 and NaN count."""
+    points = [[(float.hex(x), float.hex(y)) for x, y in column]
+              for column in (t.positions, t.velocities, t.waypoints)]
+    return points + [list(map(float.hex, t.capacities_bps))]
 
 
+BORDER_WORLD = [  # (position, velocity, waypoint) on the border of a 100 x 50 area, some heading out
+    ((0.0, 0.0), (-3.0, -4.0), (-30.0, -40.0)),
+    ((100.0, 50.0), (2.0, 0.0), (300.0, 50.0)),
+    ((0.0, 25.0), (0.0, 0.0), (0.0, 25.0)),
+    ((100.0, 0.0), (0.0, -1.0), (100.0, 0.0)),
+    ((50.0, 50.0), (0.0, 6.0), (50.0, 80.0)),
+    ((37.5, 0.0), (-0.0, 0.0), (37.5, -0.0)),
+]
 _coordinate = st.one_of(st.floats(-200.0, 1200.0),
                         st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
 _point = st.tuples(_coordinate, _coordinate)
@@ -475,6 +519,10 @@ _speeds = st.one_of(
     dt=st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 100.0)),
     seed=st.integers(0, 2**32),
 )
+@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=(1.0, 5.0), dt=1e6, seed=17)  # every node arrives
+@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=(7.5, 7.5), dt=1.0, seed=17)  # lo == hi
+@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=(0.0, 0.0), dt=1.0, seed=17)  # lo == hi == 0
+@example(world=BORDER_WORLD, area=(100.0, 50.0), speeds=(1.0, 20.0), dt=2.0, seed=17)
 def test_light_node_stepping_matches_the_dataclass_step(world, area, speeds, dt, seed):
     if isinstance(world, tuple):
         n, p, world_seed = world
@@ -482,12 +530,31 @@ def test_light_node_stepping_matches_the_dataclass_step(world, area, speeds, dt,
     else:
         nodes = [NodeState(position=pos, velocity=vel, capacity_bps=1000.0, waypoint=wp)
                  for pos, vel, wp in world]
-        t = Topology(nodes=nodes, edges=(), area=area)
+        t = from_records(nodes, area=area)
     fast = slow = t
     for k in range(30):
         fast = step_mobility(fast, dt, speeds, seed + k)
         slow = dataclass_step_mobility(slow, dt, speeds, seed + k)
-        assert exact_nodes(fast) == exact_nodes(slow)
+        assert exact_columns(fast) == exact_columns(slow)
+
+
+def test_a_long_step_lands_every_node_on_its_waypoint():
+    # The dt of the every-node-arrives example above really does make every node arrive.
+    t = generate_erdos_renyi(20, 0.2, seed=3)
+    for k in range(30):
+        stepped = step_mobility(t, 1e6, (1.0, 5.0), seed=17 + k)
+        assert stepped.positions == t.waypoints and stepped.waypoints != t.waypoints
+        t = stepped
+
+
+def test_a_step_with_arrivals_leaves_its_input_unchanged():
+    t = generate_erdos_renyi(25, 0.2, seed=6)  # at rest on their waypoints: every node arrives
+    before = exact_columns(t)
+    stepped = step_mobility(t, 1.0, (1.0, 5.0), seed=9)
+    assert exact_columns(stepped) != before
+    assert exact_columns(t) == before
+    assert exact_columns(step_mobility(t, 1.0, (1.0, 5.0), seed=9)) == exact_columns(stepped)
+    assert stepped.capacities_bps is t.capacities_bps and stepped.edges is t.edges
 
 
 # ------------------------------------------------------------------ distance
@@ -497,7 +564,7 @@ def test_distance_345_triangle():
         NodeState(position=(0.0, 0.0), velocity=(0.0, 0.0), capacity_bps=1.0, waypoint=(0.0, 0.0)),
         NodeState(position=(3.0, 4.0), velocity=(0.0, 0.0), capacity_bps=1.0, waypoint=(3.0, 4.0)),
     ]
-    t = Topology(nodes=nodes, edges=(), area=(10.0, 10.0))
+    t = from_records(nodes)
     assert distance(t, 0, 1) == 5.0
     assert distance(t, 1, 0) == 5.0
     assert distance(t, 0, 0) == 0.0
@@ -712,7 +779,7 @@ def test_default_unit_weights_match_explicit_unit_weights(n, p, graph_seed, src)
 
 def test_default_unit_weights_on_an_isolated_node_and_a_line():
     line = line_topology()
-    t = Topology(nodes=line.nodes + line.nodes[:1], edges=line.edges, area=line.area)
+    t = from_records(line.nodes + line.nodes[:1], line.edges, line.area)
     assert shortest_path(t, 3, 3) == ([3], 0)  # node 3 is isolated: entry 0
     path, cost = shortest_path(t, 0, 2)
     assert (path, cost, type(cost)) == ([0, 1, 2], 4, int)
@@ -738,7 +805,7 @@ def test_search_pushes_no_entry_that_cannot_pop(monkeypatch, edges, src, dst, ro
         heapq.heappush(heap, item)
 
     n = 1 + max(b for _, b in edges)
-    t = Topology(nodes=line_topology().nodes[:1] * n, edges=edges, area=(10.0, 10.0))
+    t = from_records(line_topology().nodes[:1] * n, edges)
     monkeypatch.setattr(topology, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
     assert shortest_path(t, src, dst) == route
     assert sorted(pushed) == pushes
