@@ -22,10 +22,6 @@ from dataclasses import dataclass
 
 from .rng import arrival_times, poisson
 
-#: Fixed ratio between reported average and maximum request latency.
-AVG_TO_MAX_LATENCY = 0.6
-
-
 @dataclass(frozen=True)
 class ControllerConfig:
     """Capacity and load parameters of the central controller."""
@@ -107,26 +103,3 @@ def max_latency_model(n: int, cfg: ControllerConfig) -> float:
     if n < 0:
         raise ValueError("node count must be non-negative")
     return cfg.latency_threshold_ms * n / (n + cfg.half_saturation_nodes)
-
-
-def avg_latency_model(n: int, cfg: ControllerConfig) -> float:
-    """Average request latency in ms, a fixed fraction of the maximum."""
-    return AVG_TO_MAX_LATENCY * max_latency_model(n, cfg)
-
-
-def saturation_point(cfg: ControllerConfig) -> int | None:
-    """Smallest node count whose aggregate event rate exceeds capacity.
-
-    Returns ``None`` when the per-node event rate is zero (the controller
-    never saturates). The capacity/rate quotient is snapped to the nearest
-    integer before the strict comparison so that decimal-looking rates such
-    as 0.1 behave like their exact values.
-    """
-    lam = cfg.event_rate_lambda
-    if lam == 0:
-        return None
-    quotient = cfg.capacity_mu / lam
-    nearest = round(quotient)
-    if abs(quotient - nearest) <= 1e-9 * max(1.0, abs(quotient)):
-        return int(nearest) + 1
-    return math.ceil(quotient)

@@ -1,17 +1,17 @@
-"""CAPEX, OPEX, efficiency, allocation-cost, and security-risk calculators.
+"""CAPEX, OPEX, break-even, allocation-cost, and security-risk calculators.
 
 Traditional networks pay per-node hardware, software, and full per-node
 operations; SDN networks pay cheaper general-purpose nodes plus one
-controller (capital and operations). Default unit costs are calibrated so
-that at the 50-node reference point the hardware-cost reduction is 25% and
-the operational reduction is 30%.
+controller (capital and operations). Every node of a mode costs the same.
+Default unit costs are calibrated so that at the 50-node reference point the
+hardware-cost reduction is 25% and the operational reduction is 30%.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import repeat
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,6 @@ class CostParams:
                 raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class EfficiencyParams:
-    """Inputs of the transmission-efficiency figure."""
-
-    useful_data: float       # bits
-    total_bandwidth: float   # bits
-    eta_optimization: float  # > 1, centralized-optimization uplift
-
-    def __post_init__(self) -> None:
-        for name in ("useful_data", "total_bandwidth", "eta_optimization"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not 0 <= self.useful_data <= self.total_bandwidth:
-            raise ValueError("useful_data must be within [0, total_bandwidth]")
-        if self.eta_optimization <= 1.0:
-            raise ValueError("eta_optimization must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -95,65 +77,37 @@ class AllocationState:
             raise ValueError("power allocations exceed the total")
 
 
-def _cost_for(i: int, params: CostParams, per_node: Mapping[int, CostParams] | None) -> CostParams:
-    if per_node is not None and i in per_node:
-        return per_node[i]
-    return params
-
-
-def capex_traditional(
-    n: int,
-    params: CostParams,
-    per_node: Mapping[int, CostParams] | None = None,
-) -> float:
+def capex_traditional(n: int, params: CostParams) -> float:
     """Hardware plus software cost across all nodes."""
     if n < 1:
         raise ValueError("node count must be at least 1")
-    return sum(
-        _cost_for(i, params, per_node).node_hw_traditional
-        + _cost_for(i, params, per_node).node_sw_traditional
-        for i in range(n)
-    )
+    return sum(repeat(params.node_hw_traditional + params.node_sw_traditional, n))
 
 
-def capex_sdn(
-    n: int,
-    params: CostParams,
-    per_node: Mapping[int, CostParams] | None = None,
-) -> float:
+def capex_sdn(n: int, params: CostParams) -> float:
     """General-purpose node hardware plus one controller; the controller
     price subsumes the software that traditional nodes carry individually."""
     if n < 1:
         raise ValueError("node count must be at least 1")
-    nodes = sum(_cost_for(i, params, per_node).node_hw_sdn for i in range(n))
-    return nodes + params.controller_capex
+    return sum(repeat(params.node_hw_sdn, n)) + params.controller_capex
 
 
-def opex_traditional(
-    n: int,
-    params: CostParams,
-    per_node: Mapping[int, CostParams] | None = None,
-) -> float:
+def opex_traditional(n: int, params: CostParams) -> float:
     """Per-period maintenance, monitoring, and configuration at every node."""
     if n < 1:
         raise ValueError("node count must be at least 1")
     total = 0.0
-    for i in range(n):
-        c = _cost_for(i, params, per_node)
-        total += c.node_maint_traditional + c.node_monitor_traditional + c.node_config_traditional
+    for _ in range(n):
+        total += params.node_maint_traditional + params.node_monitor_traditional + params.node_config_traditional
     return total
 
 
-def opex_sdn(
-    n: int,
-    params: CostParams,
-    per_node: Mapping[int, CostParams] | None = None,
-) -> float:
+def opex_sdn(n: int, params: CostParams) -> float:
     """Controller operations plus reduced per-node maintenance."""
     if n < 1:
         raise ValueError("node count must be at least 1")
     controller = params.controller_maint + params.controller_config + params.controller_monitor
-    return controller + sum(_cost_for(i, params, per_node).node_maint_sdn for i in range(n))
+    return controller + sum(repeat(params.node_maint_sdn, n))
 
 
 def crossover_n(params: CostParams, max_n: int = 1_000_000) -> int | None:
@@ -162,8 +116,8 @@ def crossover_n(params: CostParams, max_n: int = 1_000_000) -> int | None:
     ``max_n`` nodes.
 
     Scans the linear totals upward from n=1 rather than solving the
-    break-even equation, so it stays valid if the cost structure stops
-    being homogeneous.
+    break-even equation, so the answer is the first n at which the computed
+    totals cross, which a rounded quotient could miss by one.
     """
     per_node_trad = (
         params.node_hw_traditional + params.node_sw_traditional
@@ -184,12 +138,6 @@ def crossover_n(params: CostParams, max_n: int = 1_000_000) -> int | None:
     return None
 
 
-def efficiency(params: EfficiencyParams) -> float:
-    """Transmission efficiency: useful share of bandwidth scaled by the
-    optimization uplift."""
-    return params.useful_data / params.total_bandwidth * params.eta_optimization
-
-
 def allocation_cost(a: AllocationState) -> float:
     """Sum over nodes of normalized bandwidth plus normalized power.
 
@@ -206,29 +154,6 @@ def allocation_cost(a: AllocationState) -> float:
         if a.power_total > 0:
             cost += p / a.power_total
     return cost
-
-
-def balance_allocation(
-    demands_bw: list[float],
-    demands_pw: list[float],
-    totals: tuple[float, float],
-) -> AllocationState:
-    """Grant demands verbatim when feasible; otherwise scale every demand of
-    the oversubscribed resource by one common factor so its total is met."""
-    if len(demands_bw) != len(demands_pw):
-        raise ValueError("bandwidth and power demands must align")
-    if any(d < 0 for d in demands_bw) or any(d < 0 for d in demands_pw):
-        raise ValueError("demands must be non-negative")
-    bw_total, pw_total = totals
-    sum_bw, sum_pw = sum(demands_bw), sum(demands_pw)
-    scale_bw = 1.0 if sum_bw <= bw_total else bw_total / sum_bw
-    scale_pw = 1.0 if sum_pw <= pw_total else pw_total / sum_pw
-    return AllocationState(
-        bandwidth_alloc=tuple(d * scale_bw for d in demands_bw),
-        power_alloc=tuple(d * scale_pw for d in demands_pw),
-        bandwidth_total=bw_total,
-        power_total=pw_total,
-    )
 
 
 def security_risk(r: RiskProfile) -> float:

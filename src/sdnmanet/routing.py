@@ -1,8 +1,8 @@
 """Closed-form routing models for traditional and SDN-controlled networks.
 
-Covers the average and centrally optimized path costs, routing-table update
-times, per-flow latency for both control architectures, and the bandwidth
-consumed by control messaging (reactive flooding vs. controller unicast).
+Covers the centrally optimized path cost, routing-table update times,
+per-flow latency for both control architectures, and the bandwidth consumed
+by control messaging (reactive flooding vs. controller unicast).
 """
 
 from __future__ import annotations
@@ -51,15 +51,6 @@ class PathCostWeights:
                 raise ValueError(f"weight for node {node} must be positive")
             if not math.isfinite(weight):
                 raise ValueError(f"weight for node {node} must be finite")
-
-
-def avg_path_cost(costs: list[float]) -> float:
-    """Arithmetic mean of per-node path costs."""
-    if not costs:
-        raise ValueError("cost sequence must be non-empty")
-    if any(c < 0 for c in costs):
-        raise ValueError("path costs must be non-negative")
-    return sum(costs) / len(costs)
 
 
 def sdn_path_cost(t: Topology, weights: PathCostWeights, src: int, dst: int) -> float:

@@ -1,4 +1,4 @@
-"""Network graph model: generation, mobility, distances, paths, clustering.
+"""Network graph model: generation, mobility, distances, and paths.
 
 Nodes live in a rectangular area and are linked by an Erdos-Renyi random
 graph; every node carries a position, a velocity, a data-rate capacity, and
@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .rng import rand_index, uniform_in
+from .rng import uniform_in
 
 # Floor on edge weights, so coincident nodes never give a zero-weight link.
 _MIN_EDGE_WEIGHT = 1e-9
@@ -97,14 +97,6 @@ class Topology:
     def neighbors(self, i: int) -> tuple[int, ...]:
         _check_node(self, i)
         return self._adjacency[i]
-
-
-@dataclass(frozen=True)
-class Clustering:
-    """Geographic partition of nodes with one head per cluster."""
-
-    assignments: dict[int, int]  # node -> cluster index
-    heads: tuple[int, ...]       # heads[c] is the head node of cluster c
 
 
 def _check_node(t: Topology, i: int) -> None:
@@ -208,12 +200,6 @@ def distance(t: Topology, a: int, b: int) -> float:
     return math.dist(t.positions[a], t.positions[b])
 
 
-def degree(t: Topology, i: int) -> int:
-    """Number of links incident to node ``i``."""
-    _check_node(t, i)
-    return t._degree[i]
-
-
 def shortest_path(
     t: Topology,
     src: int,
@@ -228,12 +214,12 @@ def shortest_path(
     node sequence. Raises ``NoRouteError`` when ``dst`` cannot be reached, and
     ``ValueError`` when a node's weight is missing, not positive or not finite.
 
-    When every ``weight * degree`` is a whole number and they sum below
-    2**53 (unit weights always do), every path cost is exact, and a
-    bidirectional search returns the same route and cost as the general
-    one. Otherwise a heap of paths keeps float rounding's tie-breaks: a path
-    is pushed only if its cost is no worse than the best pushed to its last
-    node, since a strictly dearer one would pop after that node settled.
+    An unweighted call searches from both ends over the degree table; its
+    costs are exact, so it returns the same route and cost as the weighted
+    search. A weighted call uses a heap of paths, which keeps float
+    rounding's tie-breaks: a path is pushed only if its cost is no worse than
+    the best pushed to its last node, since a strictly dearer one would pop
+    after that node settled.
     """
     _check_node(t, src)
     _check_node(t, dst)
@@ -255,13 +241,6 @@ def shortest_path(
             if not math.isfinite(node_weight[i]):
                 raise ValueError(f"node_weight[{i}] must be finite")
     entry = list(map(operator.mul, weight, t._degree))
-    if sum(entry) < 2**53:
-        try:
-            exact = all(map(float.is_integer, entry))
-        except TypeError:  # int entries; float.is_integer takes floats only
-            exact = all(map(float.is_integer, map(float, entry)))
-        if exact:
-            return _bidirectional_search(adjacency, entry, src, dst)
     best: list[float | None] = [math.inf] * n  # None once settled
     heap: list[tuple[float, tuple[int, ...]]] = [(entry[src], (src,))]
     pop, push = heapq.heappop, heapq.heappush
@@ -283,9 +262,11 @@ def shortest_path(
 
 
 def _bidirectional_search(
-    adjacency: dict[int, tuple[int, ...]], entry: Sequence[float], src: int, dst: int
-) -> tuple[list[int], float]:
-    """``shortest_path`` for exact costs, searched from both ends at once.
+    adjacency: dict[int, tuple[int, ...]], entry: Sequence[int], src: int, dst: int
+) -> tuple[list[int], int]:
+    """``shortest_path`` with unit weights, searched from both ends at once.
+
+    Each node's ``entry`` is its degree, so every cost is an exact ``int``.
 
     ``df[v]`` is the cheapest cost found from ``src`` to ``v``, ``v``'s entry
     included, and ``db[v]`` from ``v`` to ``dst`` without it. The search stops
@@ -351,63 +332,3 @@ def _bidirectional_search(
         path.append(v)
         u, cost = v, cost + entry[v]
     return path, cost
-
-
-def cluster(t: Topology, k: int, seed: int) -> Clustering:
-    """Partition node positions into ``k`` geographic clusters.
-
-    Lloyd-style k-means seeded with ``k`` distinct node positions; each
-    cluster's head is its member nearest the final centroid. Deterministic
-    given the seed.
-    """
-    positions, n = t.positions, len(t.positions)
-    if not 1 <= k <= n:
-        raise ValueError(f"cluster count must be within [1, {n}], got {k}")
-    rng = random.Random(seed)
-    order = list(range(n))
-    for j in range(k):  # partial Fisher-Yates for k distinct seeds
-        swap = j + rand_index(rng, n - j)
-        order[j], order[swap] = order[swap], order[j]
-    centroids = [positions[order[j]] for j in range(k)]
-
-    def nearest(pos: tuple[float, float]) -> int:
-        best_c, best_d = 0, float("inf")
-        for c, ctr in enumerate(centroids):
-            d = (pos[0] - ctr[0]) ** 2 + (pos[1] - ctr[1]) ** 2
-            if d < best_d:
-                best_c, best_d = c, d
-        return best_c
-
-    assign = [nearest(pos) for pos in positions]
-    for _ in range(100):
-        for c in range(k):
-            members = [i for i in range(n) if assign[i] == c]
-            if members:
-                centroids[c] = (
-                    sum(positions[i][0] for i in members) / len(members),
-                    sum(positions[i][1] for i in members) / len(members),
-                )
-        new_assign = [nearest(pos) for pos in positions]
-        if new_assign == assign:
-            break
-        assign = new_assign
-
-    # Repair any empty cluster by donating the farthest member of the
-    # largest cluster, so every head exists inside its own cluster.
-    for c in range(k):
-        if not any(a == c for a in assign):
-            sizes = [sum(1 for a in assign if a == d) for d in range(k)]
-            donor = sizes.index(max(sizes))
-            members = [i for i in range(n) if assign[i] == donor]
-            far = max(
-                members,
-                key=lambda i: (math.dist(positions[i], centroids[donor]), -i),
-            )
-            assign[far] = c
-            centroids[c] = positions[far]
-
-    heads = []
-    for c in range(k):
-        members = [i for i in range(n) if assign[i] == c]
-        heads.append(min(members, key=lambda i: (math.dist(positions[i], centroids[c]), i)))
-    return Clustering(assignments={i: assign[i] for i in range(n)}, heads=tuple(heads))

@@ -1,7 +1,8 @@
-"""Controller backlog, queue, latency-curve, and saturation tests."""
+"""Controller backlog, queue, and latency-curve tests."""
 
 import math
 import random
+import statistics
 import tracemalloc
 
 import pytest
@@ -11,10 +12,8 @@ from hypothesis import strategies as st
 from sdnmanet.controller import (
     ControllerConfig,
     QueueOutcome,
-    avg_latency_model,
     fluid_backlog,
     max_latency_model,
-    saturation_point,
     simulate_queue,
 )
 
@@ -229,6 +228,22 @@ def test_simulate_queue_served_latencies_positive():
     assert all(lat >= 100.0 - 1e-9 for lat in outcome.served_latencies_ms)  # service takes 100 ms
 
 
+def test_served_latency_mean_matches_the_md1_sojourn_time():
+    # Below saturation, rho = n * lambda / mu = 5 / 10 = 0.5, the Pollaczek-Khinchine
+    # mean sojourn time of an M/D/1 queue is 1/mu + rho / (2 mu (1 - rho)) = 150 ms.
+    # Requests of one run are correlated, so the standard error comes from the
+    # per-seed means. Seeds 0-19 were fixed before the first run; the tolerance
+    # is 4 standard errors.
+    n, lam, mu = 10, 0.5, 10.0
+    cfg = ControllerConfig(capacity_mu=mu, event_rate_lambda=lam, sim_duration_s=2000.0)
+    rho = n * lam / mu
+    expected = (1.0 / mu + rho / (2.0 * mu * (1.0 - rho))) * 1000.0
+    means = [statistics.fmean(simulate_queue(n, cfg, seed).served_latencies_ms) for seed in range(20)]
+    stderr = statistics.stdev(means) / math.sqrt(len(means))
+    assert stderr < 1.0
+    assert abs(statistics.fmean(means) - expected) <= 4 * stderr
+
+
 # ------------------------------------------------------------ latency curves
 
 def test_max_latency_zero_nodes():
@@ -247,39 +262,13 @@ def test_max_latency_asymptote_stays_below_threshold():
     assert round(value, 2) == 29.88
 
 
-def test_avg_latency_is_fixed_fraction_of_max():
-    cfg = ControllerConfig()
-    assert avg_latency_model(0, cfg) == 0.0
-    for n in (1, 10, 50, 500):
-        assert avg_latency_model(n, cfg) == pytest.approx(0.6 * max_latency_model(n, cfg))
-        assert avg_latency_model(n, cfg) <= max_latency_model(n, cfg)
-
-
 def test_latency_models_monotone_in_n():
     cfg = ControllerConfig()
     previous = -1.0
     for n in range(0, 2000, 25):
-        value = avg_latency_model(n, cfg)
+        value = max_latency_model(n, cfg)
         assert value > previous or n == 0
         previous = value
-
-
-# ------------------------------------------------------------- saturation
-
-def test_saturation_single_node_overloads():
-    assert saturation_point(ControllerConfig(capacity_mu=10.0, event_rate_lambda=20.0)) == 1
-
-
-def test_saturation_decimal_rate_rounds_like_exact_arithmetic():
-    assert saturation_point(ControllerConfig(capacity_mu=10.0, event_rate_lambda=0.1)) == 101
-
-
-def test_saturation_strict_inequality():
-    assert saturation_point(ControllerConfig(capacity_mu=10.0, event_rate_lambda=10.0)) == 2
-
-
-def test_saturation_zero_rate_never_saturates():
-    assert saturation_point(ControllerConfig(capacity_mu=10.0, event_rate_lambda=0.0)) is None
 
 
 # ------------------------------------------------------------- config guards

@@ -9,7 +9,6 @@ import pytest
 from sdnmanet.routing import (
     PathCostWeights,
     RoutingParams,
-    avg_path_cost,
     control_overhead,
     latency_manet,
     latency_sdn,
@@ -24,31 +23,6 @@ from test_topology import brute_force_min_cost, diamond_topology, line_topology
 
 def params(**overrides):
     return RoutingParams(**overrides)
-
-
-# ------------------------------------------------------------- average cost
-
-def test_avg_path_cost_mean():
-    assert avg_path_cost([2.0, 4.0, 6.0]) == 4.0
-
-
-def test_avg_path_cost_single_value():
-    assert avg_path_cost([7.0]) == 7.0
-
-
-def test_avg_path_cost_empty_raises():
-    with pytest.raises(ValueError):
-        avg_path_cost([])
-
-
-def test_avg_path_cost_matches_mean_oracle():
-    rng = random.Random(5)
-    for _ in range(50):
-        costs = [rng.uniform(0.0, 100.0) for _ in range(rng.randint(1, 40))]
-        total = 0.0
-        for c in costs:  # independent accumulation
-            total += c
-        assert avg_path_cost(costs) == pytest.approx(total / len(costs), rel=1e-12)
 
 
 # ----------------------------------------------------------- sdn path costs

@@ -6,6 +6,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnmanet import controller as ctl
 from sdnmanet.controller import fluid_backlog
@@ -313,6 +315,69 @@ def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n):
             pass
     assert total == 1000 and hops == expected
     assert max(hops) > 2
+
+
+
+def component_roots(n, edges):
+    """Oracle: union-find over the edge list; the root of each node's component."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    return [root(i) for i in range(n)]
+
+
+def bfs_hops(n, edges, src):
+    """Oracle: fewest hops from ``src`` to every node it reaches."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    hops, frontier = {src: 0}, [src]
+    while frontier:
+        following = []
+        for u in frontier:
+            for v in adjacent[u]:
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    following.append(v)
+        frontier = following
+    return hops
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    # sparse values split the graph into many components
+    p=st.one_of(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.1]), st.floats(0.0, 0.15)),
+    graph_seed=st.integers(0, 2**32),
+    flow_seed=st.integers(0, 2**32),
+    flows=st.integers(1, 200),
+)
+def test_sampled_flows_are_routed_exactly_when_both_ends_share_a_component(
+    n, p, graph_seed, flow_seed, flows
+):
+    topo = generate_erdos_renyi(n, p, graph_seed)
+    hops, total = _sample_hops(small_config(flow_samples=flows), topo, flow_seed)
+    if n < 2:
+        assert (hops, total) == ([], 0)
+        return
+    roots, rng, routable = component_roots(n, topo.edges), random.Random(flow_seed), []
+    for _ in range(flows):  # the (src, dst) draws of _sample_hops
+        src = rand_index(rng, n)
+        dst = rand_index(rng, n - 1)
+        dst += dst >= src
+        if roots[src] == roots[dst]:
+            routable.append((src, dst))
+    assert total == flows and len(hops) == len(routable)
+    for count, (src, dst) in zip(hops, routable):
+        assert count >= bfs_hops(n, topo.edges, src)[dst]
 
 
 NUMERIC_CONFIG_FIELDS = [

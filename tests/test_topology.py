@@ -1,10 +1,11 @@
-"""Graph generation, mobility, distance, degree, path, and clustering tests."""
+"""Graph generation, mobility, distance, degree, and path tests."""
 
 import dataclasses
 import heapq
 import itertools
 import math
 import random
+import statistics
 from types import SimpleNamespace
 
 import pytest
@@ -17,8 +18,6 @@ from sdnmanet.topology import (
     NodeState,
     NoRouteError,
     Topology,
-    cluster,
-    degree,
     distance,
     generate_erdos_renyi,
     shortest_path,
@@ -29,7 +28,7 @@ from sdnmanet.topology import (
 def brute_force_min_cost(t, src, dst, weights):
     """Independent oracle: enumerate every simple path by DFS."""
     best = None
-    entry = {i: weights[i] * degree(t, i) for i in range(len(t.nodes))}
+    entry = {i: weights[i] * len(t.neighbors(i)) for i in range(len(t.nodes))}
 
     def walk(node, visited, path, cost):
         nonlocal best
@@ -125,7 +124,7 @@ def test_topology_fields_cannot_be_reassigned():
         t.edges = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.nodes = []
-    assert len(t.edges) == 10 and degree(t, 0) == 4
+    assert len(t.edges) == 10 and len(t.neighbors(0)) == 4
 
 
 def test_topology_nodes_cannot_grow():
@@ -141,7 +140,7 @@ def test_topology_nodes_cannot_grow():
             assert isinstance(column, tuple)
             with pytest.raises(AttributeError):
                 column.append(column[0])
-    assert len(t.nodes) == len(t.positions) == 3 and degree(t, 2) == 0
+    assert len(t.nodes) == len(t.positions) == 3 and t.neighbors(2) == ()
 
 
 def per_edge_index(n, edges):
@@ -203,7 +202,7 @@ def test_single_node_has_no_edges():
 def test_full_probability_gives_complete_graph():
     t = generate_erdos_renyi(5, 1.0, seed=1)
     assert len(t.edges) == 10
-    assert all(degree(t, i) == 4 for i in range(5))
+    assert all(len(t.neighbors(i)) == 4 for i in range(5))
     for n in (1, 2, 3, 17, 60):  # every pair in lexicographic order, an int p included
         for p in (1.0, 1):
             assert generate_erdos_renyi(n, p, seed=n).edges == tuple(itertools.combinations(range(n), 2))
@@ -243,6 +242,23 @@ def test_edge_count_matches_binomial_statistics():
     assert abs(mean - 995.0) <= 3 * stderr
 
 
+def test_mean_edge_length_matches_the_uniform_square_constant():
+    # Edges are drawn independently of the positions, so every edge joins two
+    # uniform points: mean length (2 + sqrt(2) + 5 ln(1 + sqrt(2))) / 15 * side,
+    # 521.405 m on a 1000 m square (Santalo). Edges of one graph share nodes,
+    # so the standard error comes from the per-seed means. Seeds 0-199 were
+    # fixed before the first run; the tolerance is 4 standard errors, about 4 m.
+    side, seeds = 1000.0, range(200)
+    expected = (2.0 + math.sqrt(2.0) + 5.0 * math.log(1.0 + math.sqrt(2.0))) / 15.0 * side
+    means = []
+    for seed in seeds:
+        t = generate_erdos_renyi(200, 0.05, seed, area=(side, side))
+        means.append(statistics.fmean(math.dist(t.positions[a], t.positions[b]) for a, b in t.edges))
+    stderr = statistics.stdev(means) / math.sqrt(len(means))
+    assert stderr < 2.0
+    assert abs(statistics.fmean(means) - expected) <= 4 * stderr
+
+
 def test_generation_is_deterministic():
     a = generate_erdos_renyi(60, 0.1, seed=123)
     b = generate_erdos_renyi(60, 0.1, seed=123)
@@ -261,7 +277,7 @@ def test_positions_fall_inside_area():
 def test_handshake_lemma_on_random_graphs():
     for s in range(20):
         t = generate_erdos_renyi(40, 0.15, seed=s)
-        assert sum(degree(t, i) for i in range(40)) == 2 * len(t.edges)
+        assert sum(len(t.neighbors(i)) for i in range(40)) == 2 * len(t.edges)
 
 
 def per_pair_erdos_renyi(n, p, seed, area=(1000.0, 1000.0), node_capacity_bps=15_000.0):
@@ -583,14 +599,14 @@ def test_distance_invalid_node_raises():
     with pytest.raises(IndexError):
         distance(t, 0, 3)
     with pytest.raises(IndexError):
-        degree(t, -1)
+        t.neighbors(-1)
 
 
 # ---------------------------------------------------------------- path costs
 
 def test_isolated_node_degree_zero():
     t = generate_erdos_renyi(4, 0.0, seed=1)
-    assert degree(t, 2) == 0
+    assert t.neighbors(2) == ()
 
 
 def test_shortest_path_line():
@@ -672,7 +688,7 @@ def test_shortest_path_breaks_rounded_cost_ties_by_node_sequence():
 def heap_of_paths_shortest_path(t, src, dst, node_weight):
     """Oracle: the search as first written, pushing every unsettled neighbour."""
     n = len(t.nodes)
-    entry = [node_weight[i] * degree(t, i) for i in range(n)]
+    entry = [node_weight[i] * len(t.neighbors(i)) for i in range(n)]
     heap = [(entry[src], (src,))]
     settled = set()
     while heap:
@@ -705,9 +721,9 @@ def weight_lists(size):
         # a 2**53 weight rounds unequal sums to equal costs
         st.lists(st.sampled_from([0.25, 0.75, 1.0, 2.0**53]), min_size=size, max_size=size),
         st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size),
-        # whole-number costs, which the bidirectional search takes
+        # whole-number costs, exact in floats, so only the node sequence breaks ties
         st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=size, max_size=size),
-        # whole numbers whose entry sums cross 2**53, on both sides of the bound
+        # whole numbers whose entry sums cross 2**53, where float sums stop being exact
         st.lists(st.sampled_from([1.0, 2.0, 3.0, 2.0**51, 2.0**52]), min_size=size, max_size=size),
         st.lists(st.integers(1, 4), min_size=size, max_size=size),  # Python ints
     )
@@ -809,58 +825,3 @@ def test_search_pushes_no_entry_that_cannot_pop(monkeypatch, edges, src, dst, ro
     monkeypatch.setattr(topology, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
     assert shortest_path(t, src, dst) == route
     assert sorted(pushed) == pushes
-
-
-# ---------------------------------------------------------------- clustering
-
-def test_single_cluster_holds_everyone():
-    t = generate_erdos_renyi(12, 0.1, seed=6)
-    c = cluster(t, 1, seed=5)
-    assert set(c.assignments.values()) == {0}
-    assert len(c.heads) == 1
-
-
-def test_one_cluster_per_node():
-    t = generate_erdos_renyi(9, 0.2, seed=14)
-    c = cluster(t, 9, seed=3)
-    assert sorted(c.assignments.values()) == list(range(9))
-    assert sorted(c.heads) == list(range(9))
-    for node, assigned in c.assignments.items():
-        assert c.heads[assigned] == node
-
-
-def test_cluster_count_exceeding_nodes_raises():
-    t = generate_erdos_renyi(4, 0.5, seed=1)
-    with pytest.raises(ValueError):
-        cluster(t, 5, seed=1)
-
-
-def test_cluster_assignments_are_nearest_centroid_at_convergence():
-    for seed in range(10):
-        t = generate_erdos_renyi(40, 0.05, seed=seed)
-        c = cluster(t, 4, seed=seed + 100)
-        centroids = {}
-        for idx in range(4):
-            members = [i for i, a in c.assignments.items() if a == idx]
-            assert members, "every cluster stays populated"
-            centroids[idx] = (
-                sum(t.nodes[i].position[0] for i in members) / len(members),
-                sum(t.nodes[i].position[1] for i in members) / len(members),
-            )
-        for i, assigned in c.assignments.items():
-            px, py = t.nodes[i].position
-            own = (px - centroids[assigned][0]) ** 2 + (py - centroids[assigned][1]) ** 2
-            for idx, (cx, cy) in centroids.items():
-                assert own <= (px - cx) ** 2 + (py - cy) ** 2 + 1e-9
-
-
-def test_cluster_heads_belong_to_their_cluster():
-    t = generate_erdos_renyi(25, 0.1, seed=31)
-    c = cluster(t, 5, seed=8)
-    for idx, head in enumerate(c.heads):
-        assert c.assignments[head] == idx
-
-
-def test_cluster_is_deterministic():
-    t = generate_erdos_renyi(30, 0.1, seed=2)
-    assert cluster(t, 3, seed=17) == cluster(t, 3, seed=17)
