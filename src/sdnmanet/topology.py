@@ -3,8 +3,7 @@
 Nodes live in a rectangular area and are linked by an Erdos-Renyi random
 graph; every node carries a position, a velocity, a data-rate capacity, and
 a random-waypoint target. All operations are pure (they return fresh
-values) and deterministic given their seed, so concurrent sweep workers can
-share nothing and still agree bit for bit.
+values) and deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from .rng import uniform_in
 
 # Floor on edge weights, so coincident nodes never give a zero-weight link.
 _MIN_EDGE_WEIGHT = 1e-9
+_buckets = dict  # the unit search's bucket-queue type, which a test replaces to record inserts
 
 
 class NoRouteError(Exception):
@@ -221,12 +221,13 @@ def shortest_path(
     the best pushed to its last node, since a strictly dearer one would pop
     after that node settled.
     """
-    _check_node(t, src)
-    _check_node(t, dst)
-    n = len(t.positions)
-    adjacency = t._adjacency
+    adjacency, degree = t._adjacency, t._degree
+    if not (isinstance(src, int) and isinstance(dst, int) and 0 <= src < len(degree) and 0 <= dst < len(degree)):
+        _check_node(t, src)  # raises for the first bad node
+        _check_node(t, dst)
     if node_weight is None:  # unit weights: the entries are the degrees, all exact
-        return _bidirectional_search(adjacency, t._degree, src, dst)
+        return _bidirectional_search(adjacency, degree, src, dst)
+    n = len(degree)
     try:
         weight = list(map(node_weight.__getitem__, range(n)))
         valid = min(weight) > 0.0 and sum(weight) < math.inf  # a NaN or inf weight fails the sum
@@ -240,7 +241,7 @@ def shortest_path(
                 raise ValueError(f"node_weight[{i}] must be positive")
             if not math.isfinite(node_weight[i]):
                 raise ValueError(f"node_weight[{i}] must be finite")
-    entry = list(map(operator.mul, weight, t._degree))
+    entry = list(map(operator.mul, weight, degree))
     best: list[float | None] = [math.inf] * n  # None once settled
     heap: list[tuple[float, tuple[int, ...]]] = [(entry[src], (src,))]
     pop, push = heapq.heappop, heapq.heappush
@@ -266,52 +267,55 @@ def _bidirectional_search(
 ) -> tuple[list[int], int]:
     """``shortest_path`` with unit weights, searched from both ends at once.
 
-    Each node's ``entry`` is its degree, so every cost is an exact ``int``.
-
-    ``df[v]`` is the cheapest cost found from ``src`` to ``v``, ``v``'s entry
-    included, and ``db[v]`` from ``v`` to ``dst`` without it. The search stops
-    only once the heap tops sum to more than ``mu``, the cheapest route seen
+    Each node's ``entry`` is its degree, so every cost is an exact ``int`` and
+    each side is a bucket queue (Dial, CACM 1969) from a cost to its nodes.
+    A side settles its whole bucket, ``cf`` or ``cb``, then moves to its next
+    key. ``df[v]`` is the cheapest cost found from ``src`` to ``v``, ``v``'s
+    entry included, and ``db[v]`` from ``v`` to ``dst`` without it. The search
+    stops once the keys sum to more than ``mu``, the cheapest route seen
     (Goldberg & Harrelson, SODA 2005), so every min-cost route is a forward-
     settled prefix and a backward-settled suffix. ``db`` is extended over
     those prefixes, and a walk from ``src`` takes the smallest tight neighbour.
-    Tops never fall and ``mu`` never rises, so an entry is pushed only if it
-    plus the other top is within ``mu``: any other could never pop.
+    Keys never fall and ``mu`` never rises, so a node is queued only if its
+    cost plus the other side's key is within ``mu``: any other never settles.
     """
     n, inf = len(entry), math.inf
     df, db = [inf] * n, [inf] * n
-    df[src], db[dst] = entry[src], 0
-    mu = entry[src] if src == dst else inf
-    heap_f, heap_b, settled_f = [(entry[src], src)], [(0, dst)], []
-    pop, push = heapq.heappop, heapq.heappush
-    while heap_f and heap_b:
-        top_f, top_b = heap_f[0][0], heap_b[0][0]
-        if top_f + top_b > mu:
-            break
-        if top_f <= top_b:
-            c, u = pop(heap_f)
-            if c > df[u]:  # stale: u settled cheaper
-                continue
-            settled_f.append(u)
-            for v in adjacency[u]:
-                cv = c + entry[v]
-                if cv < df[v]:
-                    df[v] = cv
-                    if cv + db[v] < mu:
-                        mu = cv + db[v]
-                    if cv + top_b <= mu:
-                        push(heap_f, (cv, v))
+    cf, cb = df[src], db[dst] = entry[src], 0
+    mu = cf if src == dst else inf
+    queue_f, queue_b, settled_f = _buckets({cf: [src]}), _buckets({cb: [dst]}), []
+    while queue_f and queue_b and cf + cb <= mu:
+        if cf <= cb:
+            for u in queue_f.pop(cf):
+                if df[u] != cf:  # stale: u settled cheaper
+                    continue
+                settled_f.append(u)
+                for v in adjacency[u]:
+                    cv = cf + entry[v]
+                    if cv < df[v]:
+                        df[v] = cv
+                        if cv + db[v] < mu:
+                            mu = cv + db[v]
+                        if cv + cb <= mu:
+                            queue_f.setdefault(cv, []).append(v)
+            cf += 1
+            while queue_f and cf not in queue_f:
+                cf += 1
         else:
-            c, u = pop(heap_b)
-            if c > db[u]:
-                continue
-            cv = c + entry[u]
-            for v in adjacency[u]:
-                if cv < db[v]:
-                    db[v] = cv
-                    if df[v] + cv < mu:
-                        mu = df[v] + cv
-                    if top_f + cv <= mu:
-                        push(heap_b, (cv, v))
+            for u in queue_b.pop(cb):
+                if db[u] != cb:
+                    continue
+                cv = cb + entry[u]
+                for v in adjacency[u]:
+                    if cv < db[v]:
+                        db[v] = cv
+                        if df[v] + cv < mu:
+                            mu = df[v] + cv
+                        if cf + cv <= mu:
+                            queue_b.setdefault(cv, []).append(v)
+            cb += 1
+            while queue_b and cb not in queue_b:
+                cb += 1
     if mu == inf:
         raise NoRouteError(f"no route from {src} to {dst}")
     for u in reversed(settled_f):  # latest first: a prefix node's successors come before it

@@ -6,7 +6,6 @@ import itertools
 import math
 import random
 import statistics
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -573,6 +572,61 @@ def test_a_step_with_arrivals_leaves_its_input_unchanged():
     assert stepped.capacities_bps is t.capacities_bps and stepped.edges is t.edges
 
 
+def stationary_waypoint_positions(count, side, seed):
+    """Oracle: ``count`` draws from the random-waypoint stationary density on a square.
+
+    A node seen at a random time is on a leg picked with probability
+    proportional to its length, at a uniform point along it (Navidi & Camp,
+    IEEE TMC 2004). A leg joins two uniform points, so a pair is accepted
+    with probability |AB| / (sqrt(2) * side), the longest leg there is.
+    """
+    draw, hypot = random.Random(seed).random, math.hypot
+    longest = math.sqrt(2.0) * side
+    points = []
+    while len(points) < count:
+        ax, ay, bx, by = side * draw(), side * draw(), side * draw(), side * draw()
+        if draw() * longest < hypot(bx - ax, by - ay):
+            u = draw()
+            points.append((ax + u * (bx - ax), ay + u * (by - ay)))
+    return points
+
+
+def test_long_run_positions_match_the_stationary_waypoint_density():
+    # Horizon, seeds and tolerances were fixed before the first run. 4 worlds
+    # of 1000 nodes walk 900 steps of 0.5 s at 10-20 m/s: a mean leg is
+    # 521 m x ln 2 / 10 s/m = 36 s, so 450 s is about 12 legs. An arrival
+    # ends its step, so a leg spends about half a step on its (uniform)
+    # waypoint: 0.7% of the time, which moves the mean radius by about
+    # 0.7% x 92 m = 0.6 m, a third of a standard error.
+    side, speeds, dt, steps = 1000.0, (10.0, 20.0), 0.5, 900
+    simulated = []
+    for world in range(4):
+        t = generate_erdos_renyi(1000, 0.0, world, area=(side, side))
+        for k in range(steps):
+            t = step_mobility(t, dt, speeds, seed=1000 * world + k)
+        simulated.extend(t.positions)
+    expected = stationary_waypoint_positions(100_000, side, seed=2004)
+    radius = [[math.hypot(x - side / 2, y - side / 2) for x, y in sample]
+              for sample in (simulated, expected)]
+    (a, b), (na, nb) = map(statistics.fmean, radius), map(len, radius)
+    var_a, var_b = (sum((r - m) ** 2 for r in rs) / (len(rs) - 1) for rs, m in zip(radius, (a, b)))
+    stderr = math.sqrt(var_a / na + var_b / nb)
+    assert abs(a - b) <= 4 * stderr
+    # Uniform positions would fail: their mean radius, (sqrt 2 + ln(1 + sqrt 2)) / 6 x side.
+    uniform = (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 6.0 * side
+    assert uniform - b > 8 * stderr
+    # Radial histogram: 50 m rings out to 450 m, then the rest; two-sample
+    # chi-square below the upper 1e-4 quantile of chi-square(9), Wilson-Hilferty.
+    counts = [[0] * 10 for _ in radius]
+    for count, rs in zip(counts, radius):
+        for r in rs:
+            count[min(int(r // 50.0), 9)] += 1
+    chi2 = sum((ca * math.sqrt(nb / na) - cb * math.sqrt(na / nb)) ** 2 / (ca + cb)
+               for ca, cb in zip(*counts))
+    df = len(counts[0]) - 1
+    assert chi2 < df * (1 - 2 / (9 * df) + 3.719 * math.sqrt(2 / (9 * df))) ** 3
+
+
 # ------------------------------------------------------------------ distance
 
 def test_distance_345_triangle():
@@ -805,23 +859,141 @@ def test_default_unit_weights_on_an_isolated_node_and_a_line():
         shortest_path(t, 0, 4)
 
 
+def graph(n, edges=()):
+    """A topology of ``n`` nodes at the origin, joined by ``edges``."""
+    return from_records(line_topology().nodes[:1] * n, tuple(edges))
+
+
 @pytest.mark.parametrize("edges, src, dst, route, pushes", [
     # Star with centre 0 (degree 8): once the backward search settles the
-    # centre, its other leaves would cost 9 + 9 > mu = 10 and never pop.
+    # centre, its other leaves would cost 9 + 9 > mu = 10 and never settle.
     (tuple((0, leaf) for leaf in range(1, 9)), 1, 2, ([1, 0, 2], 10), [(1, 0), (9, 0)]),
     # Line 0-1-2-3: leaf 0 behind the source would cost 3, and 3 plus the
-    # backward top of 3 exceeds mu = 5, so the forward search pushes nothing.
+    # backward key of 3 exceeds mu = 5, so the forward search queues nothing.
     (((0, 1), (1, 2), (2, 3)), 1, 3, ([1, 2, 3], 5), [(1, 2), (3, 1)]),
 ], ids=["star", "line"])
 def test_search_pushes_no_entry_that_cannot_pop(monkeypatch, edges, src, dst, route, pushes):
-    pushed = []
+    pushed = []  # (cost, node) of every bucket insert after the two starting entries
 
-    def push(heap, item):
-        pushed.append(item)
-        heapq.heappush(heap, item)
+    class RecordingBucket(list):
+        def __init__(self, cost):
+            super().__init__()
+            self.cost = cost
 
-    n = 1 + max(b for _, b in edges)
-    t = from_records(line_topology().nodes[:1] * n, edges)
-    monkeypatch.setattr(topology, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+        def append(self, node):
+            pushed.append((self.cost, node))
+            super().append(node)
+
+    class RecordingBuckets(dict):
+        def setdefault(self, cost, default):
+            return super().setdefault(cost, RecordingBucket(cost))
+
+    t = graph(1 + max(b for _, b in edges), edges)
+    monkeypatch.setattr(topology, "_buckets", RecordingBuckets)
     assert shortest_path(t, src, dst) == route
     assert sorted(pushed) == pushes
+
+
+def heap_bidirectional_search(adjacency, entry, src, dst):
+    """Oracle: the unit-weight bidirectional search on two heaps of (cost, node)."""
+    n, inf = len(entry), math.inf
+    df, db = [inf] * n, [inf] * n
+    df[src], db[dst] = entry[src], 0
+    mu = entry[src] if src == dst else inf
+    heap_f, heap_b, settled_f = [(entry[src], src)], [(0, dst)], []
+    pop, push = heapq.heappop, heapq.heappush
+    while heap_f and heap_b:
+        top_f, top_b = heap_f[0][0], heap_b[0][0]
+        if top_f + top_b > mu:
+            break
+        if top_f <= top_b:
+            c, u = pop(heap_f)
+            if c > df[u]:  # stale: u settled cheaper
+                continue
+            settled_f.append(u)
+            for v in adjacency[u]:
+                cv = c + entry[v]
+                if cv < df[v]:
+                    df[v] = cv
+                    if cv + db[v] < mu:
+                        mu = cv + db[v]
+                    if cv + top_b <= mu:
+                        push(heap_f, (cv, v))
+        else:
+            c, u = pop(heap_b)
+            if c > db[u]:
+                continue
+            cv = c + entry[u]
+            for v in adjacency[u]:
+                if cv < db[v]:
+                    db[v] = cv
+                    if df[v] + cv < mu:
+                        mu = df[v] + cv
+                    if top_f + cv <= mu:
+                        push(heap_b, (cv, v))
+    if mu == inf:
+        raise NoRouteError(f"no route from {src} to {dst}")
+    for u in reversed(settled_f):  # latest first: a prefix node's successors come before it
+        cost = df[u]
+        for v in adjacency[u]:
+            if cost + entry[v] + db[v] == mu:
+                db[u] = mu - cost
+                break
+    path, u, cost = [src], src, entry[src]
+    while u != dst:
+        for v in adjacency[u]:
+            if cost + entry[v] + db[v] == mu:
+                break
+        else:
+            raise RuntimeError(f"route walk from {src} to {dst} stuck at node {u}")
+        if len(path) == n:
+            raise RuntimeError(f"route walk from {src} to {dst} exceeds {n} nodes")
+        path.append(v)
+        u, cost = v, cost + entry[v]
+    return path, cost
+
+
+@st.composite
+def search_graphs(draw):
+    """Edge lists for the unit search, each family aimed at one of its cases."""
+    family = draw(st.sampled_from(["sparse", "dense", "star", "cycle"]))
+    if family == "sparse":  # the sweep's band: many unreachable pairs
+        n, p = draw(st.integers(2, 200)), draw(st.sampled_from([0.01, 0.02, 0.03, 0.05]))
+        edges = generate_erdos_renyi(n, p, draw(st.integers(0, 2**32))).edges
+    elif family == "dense":  # up to the complete graph: many equal-cost routes
+        n, p = draw(st.integers(2, 40)), draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+        edges = generate_erdos_renyi(n, p, draw(st.integers(0, 2**32))).edges
+    elif family == "star":  # entries 1 and >= 20 leave gaps between the bucket keys
+        leaves = draw(st.integers(20, 40))
+        n = leaves + 1
+        chords = draw(st.lists(st.tuples(st.integers(1, leaves), st.integers(1, leaves))
+                               .filter(lambda e: e[0] != e[1]), max_size=10))
+        edges = {(0, leaf) for leaf in range(1, n)} | {tuple(sorted(e)) for e in chords}
+    else:  # an even cycle: two equal-cost routes between opposite nodes
+        n = 2 * draw(st.integers(2, 12))
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    order = draw(st.permutations(range(n)))  # so the tie-break is not just index order
+    if draw(st.booleans()):
+        n += 1  # one isolated node: entry 0, unreachable from everything else
+    return n, sorted(tuple(sorted((order[a], order[b]))) for a, b in edges)
+
+
+def route_cost_and_type_or_error(search, *args):
+    try:
+        path, cost = search(*args)
+    except NoRouteError as exc:
+        return "NoRouteError", str(exc)
+    return path, cost, type(cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=search_graphs(), src=st.integers(0, 2**16))
+def test_bucket_search_matches_the_heap_search(case, src):
+    n, edges = case
+    t = graph(n, edges)
+    adjacency = {i: t.neighbors(i) for i in range(n)}
+    entry = [len(adjacency[i]) for i in range(n)]
+    for s in {src % n, n - 1}:  # node n - 1 is isolated when the case added one
+        for d in range(n):  # s itself, and the isolated node whenever there is one
+            expected = route_cost_and_type_or_error(heap_bidirectional_search, adjacency, entry, s, d)
+            assert route_cost_and_type_or_error(shortest_path, t, s, d) == expected
