@@ -19,7 +19,6 @@ from .rng import uniform_in
 
 # Floor on edge weights, so coincident nodes never give a zero-weight link.
 _MIN_EDGE_WEIGHT = 1e-9
-_buckets = dict  # the unit search's bucket-queue type, which a test replaces to record inserts
 
 
 class NoRouteError(Exception):
@@ -221,10 +220,9 @@ def shortest_path(
     the best pushed to its last node, since a strictly dearer one would pop
     after that node settled.
     """
+    _check_node(t, src)
+    _check_node(t, dst)
     adjacency, degree = t._adjacency, t._degree
-    if not (isinstance(src, int) and isinstance(dst, int) and 0 <= src < len(degree) and 0 <= dst < len(degree)):
-        _check_node(t, src)  # raises for the first bad node
-        _check_node(t, dst)
     if node_weight is None:  # unit weights: the entries are the degrees, all exact
         return _bidirectional_search(adjacency, degree, src, dst)
     n = len(degree)
@@ -283,7 +281,7 @@ def _bidirectional_search(
     df, db = [inf] * n, [inf] * n
     cf, cb = df[src], db[dst] = entry[src], 0
     mu = cf if src == dst else inf
-    queue_f, queue_b, settled_f = _buckets({cf: [src]}), _buckets({cb: [dst]}), []
+    queue_f, queue_b, settled_f = {cf: [src]}, {cb: [dst]}, []
     while queue_f and queue_b and cf + cb <= mu:
         if cf <= cb:
             for u in queue_f.pop(cf):
@@ -298,9 +296,8 @@ def _bidirectional_search(
                             mu = cv + db[v]
                         if cv + cb <= mu:
                             queue_f.setdefault(cv, []).append(v)
-            cf += 1
-            while queue_f and cf not in queue_f:
-                cf += 1
+            while queue_f and (cf := cf + 1) not in queue_f:  # on to the next key
+                pass
         else:
             for u in queue_b.pop(cb):
                 if db[u] != cb:
@@ -313,9 +310,8 @@ def _bidirectional_search(
                             mu = df[v] + cv
                         if cf + cv <= mu:
                             queue_b.setdefault(cv, []).append(v)
-            cb += 1
-            while queue_b and cb not in queue_b:
-                cb += 1
+            while queue_b and (cb := cb + 1) not in queue_b:
+                pass
     if mu == inf:
         raise NoRouteError(f"no route from {src} to {dst}")
     for u in reversed(settled_f):  # latest first: a prefix node's successors come before it

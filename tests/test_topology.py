@@ -2,10 +2,12 @@
 
 import dataclasses
 import heapq
+import inspect
 import itertools
 import math
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -872,25 +874,26 @@ def graph(n, edges=()):
     # backward key of 3 exceeds mu = 5, so the forward search queues nothing.
     (((0, 1), (1, 2), (2, 3)), 1, 3, ([1, 2, 3], 5), [(1, 2), (3, 1)]),
 ], ids=["star", "line"])
-def test_search_pushes_no_entry_that_cannot_pop(monkeypatch, edges, src, dst, route, pushes):
+def test_search_pushes_no_entry_that_cannot_pop(edges, src, dst, route, pushes):
+    search = topology._bidirectional_search.__code__
+    source, first = inspect.getsourcelines(search)
+    insert_lines = {first + i for i, line in enumerate(source) if ".setdefault(cv, []).append(v)" in line}
+    assert len(insert_lines) == 2  # one bucket insert per side
     pushed = []  # (cost, node) of every bucket insert after the two starting entries
 
-    class RecordingBucket(list):
-        def __init__(self, cost):
-            super().__init__()
-            self.cost = cost
-
-        def append(self, node):
-            pushed.append((self.cost, node))
-            super().append(node)
-
-    class RecordingBuckets(dict):
-        def setdefault(self, cost, default):
-            return super().setdefault(cost, RecordingBucket(cost))
+    def record(frame, event, arg):  # a line event fires just before the line runs
+        if event == "line" and frame.f_lineno in insert_lines:
+            pushed.append((frame.f_locals["cv"], frame.f_locals["v"]))
+        return record
 
     t = graph(1 + max(b for _, b in edges), edges)
-    monkeypatch.setattr(topology, "_buckets", RecordingBuckets)
-    assert shortest_path(t, src, dst) == route
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: record if frame.f_code is search else None)
+    try:
+        result = shortest_path(t, src, dst)
+    finally:
+        sys.settrace(previous)
+    assert result == route
     assert sorted(pushed) == pushes
 
 
