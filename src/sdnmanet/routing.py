@@ -115,6 +115,6 @@ def control_overhead(
         discoveries = break_rate_per_s * duration_s
         return discoveries * p.discovery_flood_factor * len(t.edges) * p.control_msg_bits
     if mode == "sdn":
-        n = len(t.positions)
+        n = len(t.capacities_bps)
         return p.sdn_update_rate_per_node_s * n * duration_s * p.control_msg_bits
     raise ValueError(f"mode must be 'traditional' or 'sdn', got {mode!r}")

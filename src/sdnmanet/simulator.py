@@ -228,10 +228,10 @@ def evolve_topology(cfg: ScenarioConfig, n: int, seed: int) -> Topology:
         area=(cfg.topology.area_width_m, cfg.topology.area_height_m),
         node_capacity_bps=cfg.topology.node_capacity_bps,
     )
-    steps = int(round(cfg.sim_duration_s / cfg.topology.mobility_step_s))
+    steps, mobility_seed = int(round(cfg.sim_duration_s / cfg.topology.mobility_step_s)), derive_seed(seed, 2)
     speed_range = (cfg.topology.speed_min_mps, cfg.topology.speed_max_mps)
-    for k in range(steps):
-        topo = step_mobility(topo, cfg.topology.mobility_step_s, speed_range, derive_seed(seed, 2, k))
+    for k in range(steps):  # salts fold in turn: derive_seed(mobility_seed, k) == derive_seed(seed, 2, k)
+        topo = step_mobility(topo, cfg.topology.mobility_step_s, speed_range, derive_seed(mobility_seed, k))
     return topo
 
 
@@ -241,7 +241,7 @@ def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[i
     Returns (hop counts of routable flows, total flows sampled); flows with
     no route are counted in the total only, and become lost packets.
     """
-    n = len(topo.positions)
+    n = len(topo._degree)
     if n < 2:
         return [], 0
     rng = random.Random(seed)

@@ -19,6 +19,7 @@ from .rng import uniform_in
 
 # Floor on edge weights, so coincident nodes never give a zero-weight link.
 _MIN_EDGE_WEIGHT = 1e-9
+_MOVING = ("positions", "velocities", "waypoints")
 
 
 class NoRouteError(Exception):
@@ -34,6 +35,43 @@ class NodeState(NamedTuple):
     waypoint: tuple[float, float]  # meters
 
 
+class _Walked(str):
+    """A moving column's descriptor, named by the string. A stepped topology holds
+    in ``_pending`` the last walked topology, then the steps since; its first read
+    of a moving column takes each node, in index order, through every step with
+    one step's float operations, clamps and draws, and stores all three columns.
+    Step k's generator starts at its first arrival and serves its arrivals in node order."""
+
+    def __get__(self, t: Topology | None, owner: type) -> object:
+        if t is None:  # no value on the class, so the dataclass field has no default
+            raise AttributeError(self)
+        (base, *steps), (width, height) = t._pending, t.area
+        hypot, draws, walked = math.hypot, [None] * len(steps), []
+        for (px, py), (vx, vy), (wx, wy) in zip(base.positions, base.velocities, base.waypoints):
+            leg_dt = 0.0  # no step has dt == 0.0, so the first step sets the leg's constants
+            for k, (dt, lo, hi, seed) in enumerate(steps):
+                if dt != leg_dt:  # a new leg or a new dt: a leg's reach and moves per step
+                    leg_dt, reach, dx, dy = dt, hypot(vx, vy) * dt, vx * dt, vy * dt
+                if reach >= hypot(px - wx, py - wy):  # arrived: land on the waypoint, pick the next leg
+                    px, py, leg_dt = wx, wy, 0.0
+                    draw = draws[k] = draws[k] or random.Random(seed).random
+                    wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
+                    speed = lo + (hi - lo) * draw() if hi > lo else lo
+                    leg = hypot(px - wx, py - wy)
+                    vx, vy = (((wx - px) / leg * speed, (wy - py) / leg * speed)
+                              if speed > 0.0 and leg > 0.0 else (0.0, 0.0))
+                else:
+                    px, py = px + dx, py + dy
+                # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
+                px = 0.0 if px < 0.0 else px
+                px = width if px > width else px
+                py = 0.0 if py < 0.0 else py
+                py = height if py > height else py
+            walked.append(((px, py), (vx, vy), (wx, wy)))
+        vars(t).update(zip(_MOVING, tuple(zip(*walked)) or ((), (), ())), _pending=None)
+        return vars(t)[self]
+
+
 @dataclass(frozen=True)
 class Topology:
     """Undirected graph over mobile nodes.
@@ -42,13 +80,14 @@ class Topology:
     rebuilds the records. Edges are unordered pairs ``(a, b)`` with ``a < b``,
     checked and indexed once at construction; mobility moves the nodes and
     keeps the edges. The fields are frozen and every column is a tuple (a list
-    passed in is copied), so the index can never describe another graph.
+    passed in is copied), so the index can never describe another graph. A
+    stepped topology computes its moving columns on first read (``_Walked``).
     """
 
-    positions: tuple[tuple[float, float], ...]   # meters
-    velocities: tuple[tuple[float, float], ...]  # meters/second, each points at its waypoint
-    capacities_bps: tuple[float, ...]            # bits/second
-    waypoints: tuple[tuple[float, float], ...]   # meters
+    positions: tuple[tuple[float, float], ...] = _Walked("positions")    # meters
+    velocities: tuple[tuple[float, float], ...] = _Walked("velocities")  # m/s, each points at its waypoint
+    capacities_bps: tuple[float, ...]                                    # bits/second
+    waypoints: tuple[tuple[float, float], ...] = _Walked("waypoints")    # meters
     edges: tuple[tuple[int, int], ...]
     area: tuple[float, float] = (1000.0, 1000.0)
     _adjacency: dict[int, tuple[int, ...]] = field(
@@ -99,8 +138,8 @@ class Topology:
 
 
 def _check_node(t: Topology, i: int) -> None:
-    if not isinstance(i, int) or not 0 <= i < len(t.positions):
-        raise IndexError(f"node {i} not in topology of {len(t.positions)} nodes")
+    if not isinstance(i, int) or not 0 <= i < len(t._degree):
+        raise IndexError(f"node {i} not in topology of {len(t._degree)} nodes")
 
 
 def generate_erdos_renyi(
@@ -130,14 +169,16 @@ def generate_erdos_renyi(
     positions = tuple([(uniform_in(rng, 0.0, area[0]), uniform_in(rng, 0.0, area[1])) for _ in range(n)])
     edges: list[tuple[int, int]] = []
     if p > 0.0:  # skip sampling (Batagelj & Brandes 2005): one geometric gap draw per edge
-        pairs, k, a, row_end = n * (n - 1) // 2, -1, 0, n - 1
+        pairs, a, b, last = n * (n - 1) // 2, 0, 0, n - 1  # (a, b) walks the pairs in lexicographic order
         log_q, log, draw = (math.log1p(-p) if p < 1.0 else -math.inf), math.log, rng.random
-        while (gap := log(1.0 - draw()) / log_q) < pairs - k - 1:  # else past the last pair
-            k += 1 + int(gap)  # k indexes the pairs in lexicographic order
-            while k >= row_end:  # row a holds the pair indices up to row_end - 1
+        while (gap := log(1.0 - draw()) / log_q) < pairs:  # an infinite gap never reaches int()
+            b += 1 + int(gap)
+            while b > last and a < last:  # carry into row a + 1, whose first pair is (a + 1, a + 2)
                 a += 1
-                row_end += n - 1 - a
-            edges.append((a, k - row_end + n))
+                b += a - last
+            if a == last:  # the carry passed the last row
+                break
+            edges.append((a, b))
     return Topology(positions, ((0.0, 0.0),) * n, (node_capacity_bps,) * n, positions, tuple(edges), area)
 
 
@@ -153,7 +194,9 @@ def step_mobility(
     draws a new waypoint uniformly in the area and a new speed uniformly in
     ``speed_range`` (the arrival consumes the remainder of the step). The
     result shares ``t``'s edges, adjacency and capacities, which mobility
-    never changes, so they are not checked again.
+    never changes, so they are not checked again. Its moving columns are
+    computed on first read, so a seed ``random.Random`` rejects raises
+    ``TypeError`` at the first read that reaches an arrival in this step.
     """
     lo, hi = speed_range
     for name, value in (("dt", dt), ("min speed", lo), ("max speed", hi)):
@@ -163,32 +206,9 @@ def step_mobility(
         raise ValueError("dt must be positive")
     if not 0.0 <= lo <= hi:
         raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
-    width, height = t.area
-    hypot, draw = math.hypot, random.Random(seed).random
-    velocities, waypoints = list(t.velocities), list(t.waypoints)
-    moved: list[tuple[float, float]] = []
-    for (px, py), (vx, vy), (wx, wy) in zip(t.positions, t.velocities, t.waypoints):
-        if hypot(vx, vy) * dt >= hypot(px - wx, py - wy):
-            # Arrived: land on the waypoint and pick the next leg.
-            x, y, i = wx, wy, len(moved)
-            waypoints[i] = wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
-            speed = lo + (hi - lo) * draw() if hi > lo else lo
-            leg = hypot(x - wx, y - wy)
-            if speed > 0.0 and leg > 0.0:
-                velocities[i] = ((wx - x) / leg * speed, (wy - y) / leg * speed)
-            else:
-                velocities[i] = (0.0, 0.0)
-        else:
-            x, y = px + vx * dt, py + vy * dt
-        # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
-        x = 0.0 if x < 0.0 else x
-        x = width if x > width else x
-        y = 0.0 if y < 0.0 else y
-        y = height if y > height else y
-        moved.append((x, y))
     stepped = object.__new__(Topology)  # t's edges and index, unchecked: mobility keeps them
-    vars(stepped).update(vars(t), positions=tuple(moved),
-                         velocities=tuple(velocities), waypoints=tuple(waypoints))
+    vars(stepped).update({k: v for k, v in vars(t).items() if k not in _MOVING},
+                         _pending=(vars(t).get("_pending") or (t,)) + ((dt, lo, hi, seed),))
     return stepped
 
 

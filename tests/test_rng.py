@@ -1,4 +1,4 @@
-"""Poisson count sampler and the package's random-stream contract."""
+"""Poisson count sampler, seed derivation and the package's random-stream contract."""
 
 import ast
 import math
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnmanet.rng import poisson
+from sdnmanet.rng import derive_seed, poisson
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdnmanet"
 
@@ -178,3 +178,13 @@ def test_stream_guard_flags_unstable_draws(line):
 
 def test_stream_guard_allows_random_and_the_class():
     assert unstable_random_uses("rng = random.Random(3)\nx = rng.random()\nfrom random import Random") == []
+
+
+_salts = st.lists(st.integers(-2**70, 2**70), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(-2**70, 2**70), head=_salts, tail=_salts)
+def test_derive_seed_folds_its_salts_one_at_a_time(seed, head, tail):
+    # evolve_topology derives the mobility seed once and each step's seed from it.
+    assert derive_seed(seed, *head, *tail) == derive_seed(derive_seed(seed, *head), *tail)

@@ -574,6 +574,106 @@ def test_a_step_with_arrivals_leaves_its_input_unchanged():
     assert stepped.capacities_bps is t.capacities_bps and stepped.edges is t.edges
 
 
+def is_walked(t):
+    return "positions" in vars(t)
+
+
+_worlds = st.one_of(
+    st.tuples(st.integers(1, 20), st.floats(0.0, 1.0), st.integers(0, 2**32)),
+    st.lists(st.tuples(_point, _point, _point), min_size=1, max_size=12),
+)
+
+
+def build_world(world, area):
+    if isinstance(world, tuple):
+        n, p, world_seed = world
+        return generate_erdos_renyi(n, p, world_seed, area=area)
+    return from_records([NodeState(pos, vel, 1000.0, wp) for pos, vel, wp in world], area=area)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    world=_worlds,
+    area=st.sampled_from([(1000.0, 1000.0), (50.0, 2000.0), (1.0, 1.0)]),
+    speeds=_speeds,
+    dts=st.lists(st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 100.0)),
+                 min_size=1, max_size=40),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_reading_a_chain_in_any_order_matches_reading_each_step(world, area, speeds, dts, seed, data):
+    t = build_world(world, area)
+    eager, lazy = [t], [t]
+    for k, dt in enumerate(dts):
+        eager.append(step_mobility(eager[-1], dt, speeds, seed + k))
+        exact_columns(eager[-1])  # read as it is made: a walk of one step
+        lazy.append(step_mobility(lazy[-1], dt, speeds, seed + k))
+    assert not any(map(is_walked, lazy[1:]))
+    order = data.draw(st.permutations(range(1, len(dts))))
+    read = {}
+    for i in [len(dts), *order]:  # the last one first
+        read[i] = exact_columns(lazy[i])
+        for j, topo in enumerate(lazy[1:], start=1):  # the others are as they were
+            assert is_walked(topo) == (j in read)
+        assert all(exact_columns(lazy[j]) == columns for j, columns in read.items())
+    assert all(read[i] == exact_columns(eager[i]) for i in read)
+
+
+def test_a_stepped_topology_seeds_one_generator_per_step_with_an_arrival(monkeypatch):
+    t = generate_erdos_renyi(40, 0.1, seed=3)  # at rest on the waypoints: all arrive at step 0
+    slow, arrival_seeds = t, []
+    for k in range(30):
+        stepped = dataclass_step_mobility(slow, 1.0, (1.0, 20.0), 50 + k)
+        if stepped.waypoints != slow.waypoints:  # an arrival draws a new waypoint
+            arrival_seeds.append(50 + k)
+        slow = stepped
+    assert 1 < len(arrival_seeds) < 30
+
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(topology.random, "Random", CountingRandom)
+    fast = t
+    for k in range(30):
+        fast = step_mobility(fast, 1.0, (1.0, 20.0), 50 + k)
+    assert seeded == []
+    assert exact_columns(fast) == exact_columns(slow)
+    assert sorted(seeded) == arrival_seeds
+    fast.nodes, fast.edge_weight  # the columns are kept: no second walk
+    assert sorted(seeded) == arrival_seeds
+
+
+def test_a_stepped_topology_compares_and_hashes_as_its_rebuilt_world():
+    def stepped(steps):
+        t = generate_erdos_renyi(30, 0.2, seed=8)
+        for k in range(steps):
+            t = step_mobility(t, 2.0, (1.0, 5.0), seed=40 + k)
+        return t
+
+    rebuilt = from_records(stepped(12).nodes, stepped(12).edges, (1000.0, 1000.0))
+    assert stepped(12) == rebuilt and rebuilt == stepped(12)
+    assert hash(stepped(12)) == hash(rebuilt)
+    assert stepped(11) != rebuilt and stepped(13) != stepped(12)
+    unread = stepped(12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        unread.positions = ()
+    assert not is_walked(unread) and unread == rebuilt
+
+
+def test_a_bad_seed_raises_at_the_first_read_that_reaches_an_arrival():
+    moving = from_records([NodeState((0.0, 0.0), (1.0, 0.0), 1000.0, (10.0, 0.0))], area=(20.0, 20.0))
+    never_arrives = step_mobility(moving, 1.0, (1.0, 2.0), seed=[1])
+    assert never_arrives.positions == ((1.0, 0.0),)
+    arrives = step_mobility(moving, 20.0, (1.0, 2.0), seed=[1])
+    for _ in range(2):  # nothing is stored, so every read raises
+        with pytest.raises(TypeError):
+            arrives.positions
+
+
 def stationary_waypoint_positions(count, side, seed):
     """Oracle: ``count`` draws from the random-waypoint stationary density on a square.
 
