@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .topology import Topology
 # Unused here, but bench/test_sweep_bench.py checks that its tracer wraps this binding.
@@ -88,50 +88,6 @@ def pairwise_packet_count(
     return sum([round(coefficient * dist(pos[a], pos[b]) * mean_speed * window_s) for a, b in t.edges])
 
 
-def overhead_bits(packets: int, params: OverheadParams) -> float:
-    """Total overhead: packet count times packet size."""
-    if packets < 0:
-        raise ValueError("packet count must be non-negative")
-    return packets * params.packet_size_bits
-
-
-def capacity_sdn(
-    node_capacities: Sequence[float],
-    controller_capacity: float,
-    overhead: float,
-) -> CapacityBreakdown:
-    """Node capacities plus the controller's contribution, minus overhead."""
-    if controller_capacity < 0 or overhead < 0 or any(c < 0 for c in node_capacities):
-        raise ValueError("capacities and overhead must be non-negative")
-    node_sum = sum(node_capacities)
-    raw = node_sum + controller_capacity - overhead
-    return CapacityBreakdown(
-        node_sum=node_sum,
-        controller=controller_capacity,
-        overhead=overhead,
-        effective=max(0.0, raw),
-        saturated=raw < 0.0,
-    )
-
-
-def capacity_traditional(
-    node_capacities: Sequence[float],
-    flood_overhead: float,
-) -> CapacityBreakdown:
-    """Node capacities minus flooding overhead; no controller term."""
-    if flood_overhead < 0 or any(c < 0 for c in node_capacities):
-        raise ValueError("capacities and overhead must be non-negative")
-    node_sum = sum(node_capacities)
-    raw = node_sum - flood_overhead
-    return CapacityBreakdown(
-        node_sum=node_sum,
-        controller=0.0,
-        overhead=flood_overhead,
-        effective=max(0.0, raw),
-        saturated=raw < 0.0,
-    )
-
-
 def effective_capacity(
     mode: str,
     t: Topology,
@@ -142,22 +98,23 @@ def effective_capacity(
 ) -> CapacityBreakdown:
     """Capacity breakdown of ``t`` in ``mode``, which the caller has checked.
 
-    The pairwise overhead rate over ``window_s`` comes off the node
-    capacities: scaled by the flooding multiplier in traditional mode, with
-    the controller's capacity added in SDN mode.
+    The overhead rate is the pairwise packet count over ``window_s`` times
+    ``packet_size_bits``, per second; traditional mode scales it by the
+    flooding multiplier. It comes off the node capacity sum, plus the
+    controller's capacity in SDN mode only, and the result is clamped at
+    zero, with ``saturated`` set when the overhead exceeds the capacity.
+    Raises ``ValueError`` for a negative node or controller capacity or mean speed.
     """
-    packets = pairwise_packet_count(t, mean_speed, params, window_s)
-    rate = overhead_bits(packets, params) / window_s
+    if controller_capacity < 0 or mean_speed < 0 or any(c < 0 for c in t.capacities_bps):
+        raise ValueError("capacities and mean speed must be non-negative")
+    rate = pairwise_packet_count(t, mean_speed, params, window_s) * params.packet_size_bits / window_s
+    node_sum = sum(t.capacities_bps)
     if mode == "sdn":
-        return capacity_sdn(t.capacities_bps, controller_capacity, rate)
-    return capacity_traditional(t.capacities_bps, params.flood_multiplier * rate)
-
-
-def capacity_total(clustered: float, sliced: float) -> float:
-    """Combined capacity of the clustered and sliced portions."""
-    if clustered < 0 or sliced < 0:
-        raise ValueError("capacities must be non-negative")
-    return clustered + sliced
+        controller, overhead = controller_capacity, rate
+    else:
+        controller, overhead = 0.0, params.flood_multiplier * rate
+    raw = node_sum + controller - overhead
+    return CapacityBreakdown(node_sum, controller, overhead, max(0.0, raw), raw < 0.0)
 
 
 def clustered_sliced_capacity(baseline: float, gains: CapacityGains) -> float:
@@ -166,7 +123,7 @@ def clustered_sliced_capacity(baseline: float, gains: CapacityGains) -> float:
         raise ValueError("baseline capacity must be non-negative")
     clustered = baseline * gains.clustered_share * gains.clustered_gain
     sliced = baseline * gains.sliced_share * gains.sliced_gain
-    return capacity_total(clustered, sliced)
+    return clustered + sliced
 
 
 def max_supported_nodes(

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+
+#: Largest node count ``crossover_n`` scans.
+CROSSOVER_MAX_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def capex_traditional(n: int, params: CostParams) -> float:
     """Hardware plus software cost across all nodes."""
     if n < 1:
         raise ValueError("node count must be at least 1")
-    return sum(repeat(params.node_hw_traditional + params.node_sw_traditional, n))
+    return n * (params.node_hw_traditional + params.node_sw_traditional)
 
 
 def capex_sdn(n: int, params: CostParams) -> float:
@@ -89,17 +91,14 @@ def capex_sdn(n: int, params: CostParams) -> float:
     price subsumes the software that traditional nodes carry individually."""
     if n < 1:
         raise ValueError("node count must be at least 1")
-    return sum(repeat(params.node_hw_sdn, n)) + params.controller_capex
+    return n * params.node_hw_sdn + params.controller_capex
 
 
 def opex_traditional(n: int, params: CostParams) -> float:
     """Per-period maintenance, monitoring, and configuration at every node."""
     if n < 1:
         raise ValueError("node count must be at least 1")
-    total = 0.0
-    for _ in range(n):
-        total += params.node_maint_traditional + params.node_monitor_traditional + params.node_config_traditional
-    return total
+    return n * (params.node_maint_traditional + params.node_monitor_traditional + params.node_config_traditional)
 
 
 def opex_sdn(n: int, params: CostParams) -> float:
@@ -107,13 +106,13 @@ def opex_sdn(n: int, params: CostParams) -> float:
     if n < 1:
         raise ValueError("node count must be at least 1")
     controller = params.controller_maint + params.controller_config + params.controller_monitor
-    return controller + sum(repeat(params.node_maint_sdn, n))
+    return controller + n * params.node_maint_sdn
 
 
-def crossover_n(params: CostParams, max_n: int = 1_000_000) -> int | None:
+def crossover_n(params: CostParams) -> int | None:
     """Smallest node count at which total SDN cost stops exceeding the
     traditional total (capex + opex); ``None`` when it never does within
-    ``max_n`` nodes.
+    ``CROSSOVER_MAX_N`` nodes.
 
     Scans the linear totals upward from n=1 rather than solving the
     break-even equation, so the answer is the first n at which the computed
@@ -132,7 +131,7 @@ def crossover_n(params: CostParams, max_n: int = 1_000_000) -> int | None:
     if per_node_sdn >= per_node_trad:
         # No per-node saving: either SDN already wins at n=1 or never will.
         return 1 if per_node_sdn + fixed_sdn <= per_node_trad else None
-    for n in range(1, max_n + 1):
+    for n in range(1, CROSSOVER_MAX_N + 1):
         if n * per_node_sdn + fixed_sdn <= n * per_node_trad:
             return n
     return None

@@ -7,10 +7,11 @@ by control messaging (reactive flooding vs. controller unicast).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
-from .topology import Topology, shortest_path
+from .topology import NoRouteError, Topology, _check_node
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,38 @@ class PathCostWeights:
 
 
 def sdn_path_cost(t: Topology, weights: PathCostWeights, src: int, dst: int) -> float:
-    """Minimum over all src->dst paths of sum(weight_i * degree_i)."""
-    _, cost = shortest_path(t, src, dst, weights.w)
-    return cost
+    """Minimum over all src->dst paths of sum(weight_i * degree_i).
+
+    Every node on a path counts, endpoints included, and a path's cost is
+    summed from ``src`` along it, so ``int`` weights give an ``int`` cost.
+    A label-setting search (Dijkstra, 1959) settles nodes in cost order; the
+    entries are non-negative and float addition is monotone, so the cost
+    with which ``dst`` first pops is the least rounded sum over all paths.
+    Raises ``IndexError`` for a node outside ``t``, ``NoRouteError`` when
+    ``dst`` cannot be reached, and ``ValueError`` when ``weights.w`` misses a node.
+    """
+    _check_node(t, src)
+    _check_node(t, dst)
+    w, adjacency = weights.w, t._adjacency
+    for i in range(len(t._degree)):
+        if i not in w:
+            raise ValueError(f"weights.w missing node {i}")
+    entry = [w[i] * degree for i, degree in enumerate(t._degree)]
+    best = [math.inf] * len(entry)  # cheapest cost found from src, entries included
+    best[src] = entry[src]
+    heap = [(entry[src], src)]
+    while heap:
+        cost, u = heapq.heappop(heap)
+        if u == dst:
+            return cost
+        if cost > best[u]:  # stale: u was reached cheaper since
+            continue
+        for v in adjacency[u]:
+            c = cost + entry[v]
+            if c < best[v]:
+                best[v] = c
+                heapq.heappush(heap, (c, v))
+    raise NoRouteError(f"no route from {src} to {dst}")
 
 
 def update_time(p: RoutingParams) -> float:

@@ -8,12 +8,11 @@ values) and deterministic given their seed.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .rng import uniform_in
 
@@ -219,84 +218,28 @@ def distance(t: Topology, a: int, b: int) -> float:
     return math.dist(t.positions[a], t.positions[b])
 
 
-def shortest_path(
-    t: Topology,
-    src: int,
-    dst: int,
-    node_weight: dict[int, float] | None = None,
-) -> tuple[list[int], float]:
-    """Minimum-cost path where cost is the sum of weight*degree over path nodes.
+def shortest_path(t: Topology, src: int, dst: int) -> tuple[list[int], int]:
+    """Minimum-cost route where every node on it costs its degree, endpoints included.
 
-    The cost of a path is ``sum(node_weight[i] * degree(i))`` over every node
-    on it, endpoints included; without ``node_weight`` every node weighs 1 and
-    the cost is an ``int``. Ties break toward the lexicographically smallest
-    node sequence. Raises ``NoRouteError`` when ``dst`` cannot be reached, and
-    ``ValueError`` when a node's weight is missing, not positive or not finite.
+    The cost is the ``int`` sum of the degrees along the route; ties break
+    toward the lexicographically smallest node sequence. Raises ``IndexError``
+    for a node outside ``t`` and ``NoRouteError`` when ``dst`` cannot be reached.
 
-    An unweighted call searches from both ends over the degree table; its
-    costs are exact, so it returns the same route and cost as the weighted
-    search. A weighted call uses a heap of paths, which keeps float
-    rounding's tie-breaks: a path is pushed only if its cost is no worse than
-    the best pushed to its last node, since a strictly dearer one would pop
-    after that node settled.
+    The route is searched from both ends at once over the degree table, each
+    side a bucket queue (Dial, CACM 1969) from a cost to its nodes. A side
+    settles its whole bucket, ``cf`` or ``cb``, then moves to its next key.
+    ``df[v]`` is the cheapest cost found from ``src`` to ``v``, ``v``'s entry
+    (its degree) included, and ``db[v]`` from ``v`` to ``dst`` without it. The search stops
+    once the keys sum to more than ``mu``, the cheapest route seen (Goldberg &
+    Harrelson, SODA 2005), so every min-cost route is a forward-settled prefix
+    and a backward-settled suffix. ``db`` is extended over those prefixes, and
+    a walk from ``src`` takes the smallest tight neighbour. Keys never fall and
+    ``mu`` never rises, so a node is queued only if its cost plus the other
+    side's key is within ``mu``: any other never settles.
     """
     _check_node(t, src)
     _check_node(t, dst)
-    adjacency, degree = t._adjacency, t._degree
-    if node_weight is None:  # unit weights: the entries are the degrees, all exact
-        return _bidirectional_search(adjacency, degree, src, dst)
-    n = len(degree)
-    try:
-        weight = list(map(node_weight.__getitem__, range(n)))
-        valid = min(weight) > 0.0 and sum(weight) < math.inf  # a NaN or inf weight fails the sum
-    except KeyError:
-        valid = False
-    if not valid:  # find the first bad node, in index order
-        for i in range(n):
-            if i not in node_weight:
-                raise ValueError(f"node_weight missing node {i}")
-            if node_weight[i] <= 0.0:
-                raise ValueError(f"node_weight[{i}] must be positive")
-            if not math.isfinite(node_weight[i]):
-                raise ValueError(f"node_weight[{i}] must be finite")
-    entry = list(map(operator.mul, weight, degree))
-    best: list[float | None] = [math.inf] * n  # None once settled
-    heap: list[tuple[float, tuple[int, ...]]] = [(entry[src], (src,))]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        cost, path = pop(heap)
-        u = path[-1]
-        if best[u] is None:
-            continue
-        best[u] = None
-        if u == dst:
-            return list(path), cost
-        for v in adjacency[u]:
-            c = cost + entry[v]
-            b = best[v]
-            if b is not None and c <= b:
-                best[v] = c
-                push(heap, (c, path + (v,)))
-    raise NoRouteError(f"no route from {src} to {dst}")
-
-
-def _bidirectional_search(
-    adjacency: dict[int, tuple[int, ...]], entry: Sequence[int], src: int, dst: int
-) -> tuple[list[int], int]:
-    """``shortest_path`` with unit weights, searched from both ends at once.
-
-    Each node's ``entry`` is its degree, so every cost is an exact ``int`` and
-    each side is a bucket queue (Dial, CACM 1969) from a cost to its nodes.
-    A side settles its whole bucket, ``cf`` or ``cb``, then moves to its next
-    key. ``df[v]`` is the cheapest cost found from ``src`` to ``v``, ``v``'s
-    entry included, and ``db[v]`` from ``v`` to ``dst`` without it. The search
-    stops once the keys sum to more than ``mu``, the cheapest route seen
-    (Goldberg & Harrelson, SODA 2005), so every min-cost route is a forward-
-    settled prefix and a backward-settled suffix. ``db`` is extended over
-    those prefixes, and a walk from ``src`` takes the smallest tight neighbour.
-    Keys never fall and ``mu`` never rises, so a node is queued only if its
-    cost plus the other side's key is within ``mu``: any other never settles.
-    """
+    adjacency, entry = t._adjacency, t._degree
     n, inf = len(entry), math.inf
     df, db = [inf] * n, [inf] * n
     cf, cb = df[src], db[dst] = entry[src], 0

@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 from sdnmanet.capacity import (
     CapacityGains,
     OverheadParams,
-    capacity_sdn,
-    capacity_total,
-    capacity_traditional,
     clustered_sliced_capacity,
     effective_capacity,
     max_supported_nodes,
-    overhead_bits,
     pairwise_packet_count,
 )
 from sdnmanet.topology import NodeState, Topology, distance, generate_erdos_renyi
@@ -134,60 +130,85 @@ def test_pairwise_packets_grow_with_speed_and_coefficient():
     assert denser > base
 
 
-# ------------------------------------------------------------ overhead bits
+# ------------------------------------------------------- capacity breakdowns
+
+def breakdown(mode, capacities, controller, packet_bits, flood=1.5, mean_speed=1.0, window_s=1.0):
+    """``effective_capacity`` of nodes 1 m apart in a row, only nodes 0 and 1
+    linked, at pair coefficient 1: one packet of ``packet_bits`` per
+    second per m/s of ``mean_speed``, before the flooding multiplier."""
+    records = [NodeState((float(i), 0.0), (0.0, 0.0), c, (float(i), 0.0)) for i, c in enumerate(capacities)]
+    params = OverheadParams(packet_size_bits=packet_bits, pair_coefficient=1.0, flood_multiplier=flood)
+    return effective_capacity(mode, from_records(records, ((0, 1),)), mean_speed, params, controller, window_s)
+
 
 def test_overhead_bits_packet_size_product():
-    params = OverheadParams(packet_size_bits=512)
-    assert overhead_bits(10, params) == 5120.0
-    assert overhead_bits(0, params) == 0.0
-    assert overhead_bits(1000, params) == 512_000.0
+    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=10.0).overhead == 5120.0
+    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=10.0, window_s=4.0).overhead == 5120.0
+    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=0.0).overhead == 0.0
+    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=1000.0).overhead == 512_000.0
 
 
 def test_overhead_bits_rejects_negative_count():
-    with pytest.raises(ValueError):
-        overhead_bits(-1, OverheadParams())
+    # A negative mean speed would make a negative packet count.
+    with pytest.raises(ValueError, match="mean speed must be non-negative"):
+        breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=-1.0)
 
-
-# ------------------------------------------------------- capacity breakdowns
 
 def test_capacity_sdn_subtracts_overhead():
-    b = capacity_sdn([400.0, 600.0], 200.0, 300.0)
-    assert b.node_sum == 1000.0
+    b = breakdown("sdn", [400.0, 600.0], 200.0, 300)
+    assert (b.node_sum, b.controller, b.overhead) == (1000.0, 200.0, 300.0)
     assert b.effective == 900.0
     assert not b.saturated
 
 
 def test_capacity_sdn_clamps_to_zero_and_flags():
-    b = capacity_sdn([100.0], 50.0, 300.0)
+    b = breakdown("sdn", [100.0, 0.0], 50.0, 300)
+    assert b.effective == 0.0
+    assert b.saturated
+    b = breakdown("traditional", [100.0, 0.0], 50.0, 100)  # 150 b/s of flooding
     assert b.effective == 0.0
     assert b.saturated
 
 
 def test_capacity_sdn_no_overhead_sums_everything():
-    b = capacity_sdn([100.0, 200.0], 50.0, 0.0)
+    b = breakdown("sdn", [100.0, 200.0], 50.0, 512, mean_speed=0.0)
     assert b.effective == 350.0
 
 
 def test_capacity_traditional_subtracts_flood():
-    b = capacity_traditional([500.0, 500.0], 100.0)
+    b = breakdown("traditional", [500.0, 500.0], 999.0, 200, flood=0.5)
     assert b.effective == 900.0
-    assert b.controller == 0.0
+    assert b.controller == 0.0  # the controller term counts in SDN mode only
 
 
 def test_flood_multiplier_scales_overhead():
-    params = OverheadParams(flood_multiplier=3.0)
-    rate = 123.0
-    assert params.flood_multiplier * rate == 369.0
+    for flood in (0.0, 1.5, 3.0):
+        sdn = breakdown("sdn", [1e6, 1e6], 0.0, 123, flood=flood)
+        trad = breakdown("traditional", [1e6, 1e6], 0.0, 123, flood=flood)
+        assert sdn.overhead == 123.0  # no flooding in SDN mode
+        assert trad.overhead == flood * 123.0
 
 
 def test_capacity_upper_bound():
-    b = capacity_sdn([100.0, 300.0], 50.0, 17.0)
-    assert b.effective <= 100.0 + 300.0 + 50.0
+    for mode in ("sdn", "traditional"):
+        b = breakdown(mode, [100.0, 300.0], 50.0, 17)
+        assert b.effective <= b.node_sum + b.controller <= 100.0 + 300.0 + 50.0
+    assert breakdown("sdn", [100.0, 300.0], 50.0, 17).effective == 433.0
+
+
+@pytest.mark.parametrize("capacities, controller", [([1.0, -1.0], 0.0), ([1.0, 1.0], -1.0)])
+def test_effective_capacity_rejects_negative_capacities(capacities, controller):
+    for mode in ("sdn", "traditional"):
+        with pytest.raises(ValueError, match="capacities .* must be non-negative"):
+            breakdown(mode, capacities, controller, 512)
 
 
 def test_capacity_total_sums():
-    assert capacity_total(400.0, 250.0) == 650.0
-    assert capacity_total(0.0, 7.5) == 7.5
+    # clustered_sliced_capacity returns the clustered plus the sliced portion.
+    gains = CapacityGains(clustered_share=0.4, clustered_gain=1.0, sliced_share=0.25, sliced_gain=1.0)
+    assert clustered_sliced_capacity(1000.0, gains) == 650.0
+    gains = CapacityGains(clustered_share=0.0, sliced_share=0.75, sliced_gain=1.0)
+    assert clustered_sliced_capacity(10.0, gains) == 7.5
 
 
 def test_clustered_sliced_uplift_is_1_35():
@@ -201,11 +222,8 @@ def test_sdn_capacity_beats_traditional_from_30_nodes():
     for n in range(30, 201, 10):
         t = generate_erdos_renyi(n, cfg.topology.link_probability, seed=n,
                                  node_capacity_bps=cfg.topology.node_capacity_bps)
-        packets = pairwise_packet_count(t, cfg.mean_speed_mps(), cfg.overhead, 1.0)
-        rate = overhead_bits(packets, cfg.overhead)
-        caps = [node.capacity_bps for node in t.nodes]
-        sdn = capacity_sdn(caps, cfg.controller_capacity_bps, rate)
-        trad = capacity_traditional(caps, cfg.overhead.flood_multiplier * rate)
+        sdn, trad = (effective_capacity(mode, t, cfg.mean_speed_mps(), cfg.overhead,
+                                        cfg.controller_capacity_bps, 1.0) for mode in ("sdn", "traditional"))
         assert sdn.effective > trad.effective
 
 

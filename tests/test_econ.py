@@ -83,6 +83,14 @@ def test_capex_linear_second_differences_vanish():
             assert c - 2 * b + a == 0.0
 
 
+def test_costs_at_ten_million_nodes_match_the_closed_forms():
+    n, p = 10**7, CostParams(node_hw_traditional=100.5, node_sw_traditional=0.25, node_hw_sdn=60.125)
+    assert capex_traditional(n, p) == n * (p.node_hw_traditional + p.node_sw_traditional) == 1_007_500_000.0
+    assert capex_sdn(n, p) == n * p.node_hw_sdn + p.controller_capex == 601_250_750.0
+    assert opex_traditional(n, p) == n * 30.0 == 300_000_000.0
+    assert opex_sdn(n, p) == 300.0 + n * p.node_maint_sdn == 150_000_300.0
+
+
 # --------------------------------------------------------------------- opex
 
 def test_opex_traditional_small():

@@ -37,6 +37,36 @@ def test_sdn_path_cost_diamond():
     assert sdn_path_cost(diamond_topology(), weights, 0, 2) == 6.0
 
 
+def test_sdn_path_cost_degenerate_source_equals_destination():
+    weights = PathCostWeights({0: 1.0, 1: 2.0, 2: 1.0})
+    assert sdn_path_cost(line_topology(), weights, 1, 1) == 4.0  # w=2 times degree 2
+
+
+def test_sdn_path_cost_unreachable_raises():
+    t = generate_erdos_renyi(4, 0.0, seed=1)
+    with pytest.raises(NoRouteError, match="no route from 0 to 3"):
+        sdn_path_cost(t, PathCostWeights({i: 1.0 for i in range(4)}), 0, 3)
+
+
+def test_sdn_path_cost_requires_full_weight_cover():
+    with pytest.raises(ValueError, match="weights.w missing node 2"):
+        sdn_path_cost(line_topology(), PathCostWeights({0: 1.0, 1: 1.0}), 0, 2)
+    with pytest.raises(IndexError, match="node 3 not in topology of 3 nodes"):
+        sdn_path_cost(line_topology(), PathCostWeights({0: 1.0, 1: 1.0}), 0, 3)
+
+
+def test_sdn_path_cost_rounds_each_sum_from_the_source():
+    # Entries 0.5, 1.5, 2**54, 0.5: both routes, 0.5 + 0.5 + 2**54 via node 3
+    # and 0.5 + 1.5 + 2**54 via node 1, round to 2**54.
+    weights = PathCostWeights({0: 0.25, 1: 0.75, 2: 2.0**53, 3: 0.25})
+    assert sdn_path_cost(diamond_topology(), weights, 0, 2) == 2.0**54
+    # Entries 2**53, 1, 0.5 on a line: 2**53 + 1 rounds to even and drops
+    # the 1, while from the other end 0.5 + 1 = 1.5 rounds 2**53 + 1.5 up.
+    weights = PathCostWeights({0: 2.0**53, 1: 0.5, 2: 0.5})
+    assert sdn_path_cost(line_topology(), weights, 0, 2) == 2.0**53
+    assert sdn_path_cost(line_topology(), weights, 2, 0) == 2.0**53 + 2
+
+
 def test_sdn_path_cost_matches_brute_force():
     rng = random.Random(777)
     for trial in range(60):

@@ -27,7 +27,9 @@ from sdnmanet.simulator import (
     sweep,
     throughput_model,
 )
-from sdnmanet.topology import NoRouteError, generate_erdos_renyi, shortest_path
+from sdnmanet.topology import NoRouteError, generate_erdos_renyi
+
+from test_topology import heap_of_paths_shortest_path
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -304,13 +306,13 @@ def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n):
     cfg = small_config(flow_samples=1000)
     topo = generate_erdos_renyi(n, 0.03, seed=11)
     hops, total = _sample_hops(cfg, topo, 5)
-    rng, unit, expected = random.Random(5), {i: 1.0 for i in range(n)}, []
+    rng, unit, expected = random.Random(5), {i: 1 for i in range(n)}, []
     for _ in range(1000):
         src = rand_index(rng, n)
         dst = rand_index(rng, n - 1)
         dst += dst >= src
         try:
-            expected.append(len(shortest_path(topo, src, dst, unit)[0]) - 1)
+            expected.append(len(heap_of_paths_shortest_path(topo, src, dst, unit)[0]) - 1)
         except NoRouteError:
             pass
     assert total == 1000 and hops == expected

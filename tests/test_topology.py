@@ -24,6 +24,7 @@ from sdnmanet.topology import (
     shortest_path,
     step_mobility,
 )
+from sdnmanet.routing import PathCostWeights, sdn_path_cost
 
 
 def brute_force_min_cost(t, src, dst, weights):
@@ -766,52 +767,25 @@ def test_isolated_node_degree_zero():
 
 
 def test_shortest_path_line():
-    t = line_topology()
-    path, cost = shortest_path(t, 0, 2, {0: 1.0, 1: 1.0, 2: 1.0})
-    assert path == [0, 1, 2]
-    assert cost == 4.0  # degrees 1 + 2 + 1
+    path, cost = shortest_path(line_topology(), 0, 2)
+    assert (path, cost, type(cost)) == ([0, 1, 2], 4, int)  # degrees 1 + 2 + 1
 
 
 def test_shortest_path_prefers_light_detour():
-    t = diamond_topology()
-    weights = {0: 1.0, 1: 3.0, 2: 1.0, 3: 1.0}
-    path, cost = shortest_path(t, 0, 2, weights)
-    assert path == [0, 3, 2]
-    assert cost == 6.0  # 2 + 2 + 2, avoiding the weight-3 node
+    # Hub 0 links 1, 2 and three leaves (degree 5); the detour 1-3-4-2 has
+    # degree-2 inner nodes, so its cost 2 + 2 + 2 + 2 beats 2 + 5 + 2.
+    t = graph(8, [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (1, 3), (2, 4), (3, 4)])
+    assert shortest_path(t, 1, 2) == ([1, 3, 4, 2], 8)
 
 
 def test_shortest_path_degenerate_source_equals_destination():
-    t = line_topology()
-    path, cost = shortest_path(t, 1, 1, {0: 1.0, 1: 2.0, 2: 1.0})
-    assert path == [1]
-    assert cost == 4.0  # w=2 times degree 2
+    assert shortest_path(line_topology(), 1, 1) == ([1], 2)  # degree 2
 
 
 def test_shortest_path_unreachable_raises():
     t = generate_erdos_renyi(4, 0.0, seed=1)
     with pytest.raises(NoRouteError):
-        shortest_path(t, 0, 3, {i: 1.0 for i in range(4)})
-
-
-def test_shortest_path_requires_full_weight_cover():
-    t = line_topology()
-    with pytest.raises(ValueError):
-        shortest_path(t, 0, 2, {0: 1.0, 1: 1.0})
-
-
-@pytest.mark.parametrize("bad, message", [
-    (math.nan, "node_weight\\[2\\] must be finite"),
-    (math.inf, "node_weight\\[2\\] must be finite"),
-    (-math.inf, "node_weight\\[2\\] must be positive"),
-    (0.0, "node_weight\\[2\\] must be positive"),
-])
-def test_shortest_path_rejects_non_finite_and_non_positive_weights(bad, message):
-    # A NaN weight used to come back as the cost: ([0, 2, 5], nan).
-    t = generate_erdos_renyi(6, 0.6, seed=3)
-    weights = {i: 1.0 for i in range(6)}
-    weights[2] = bad
-    with pytest.raises(ValueError, match=message):
-        shortest_path(t, 0, 5, weights)
+        shortest_path(t, 0, 3)
 
 
 def test_shortest_path_matches_exhaustive_oracle():
@@ -822,23 +796,16 @@ def test_shortest_path_matches_exhaustive_oracle():
         random_weights = {i: rng.uniform(0.1, 5.0) for i in range(n)}
         src, dst = rng.sample(range(n), 2)
         # Unit weights tie many routes, so brute force checks the tie-break.
-        for weights in (random_weights, {i: 1.0 for i in range(n)}):
-            expected = brute_force_min_cost(t, src, dst, weights)
-            if expected is None:
-                with pytest.raises(NoRouteError):
-                    shortest_path(t, src, dst, weights)
-                continue
-            path, cost = shortest_path(t, src, dst, weights)
-            assert cost == pytest.approx(expected[0], rel=1e-12)
-            assert tuple(path) == expected[1]  # lexicographic tie-break agrees
-
-
-def test_shortest_path_breaks_rounded_cost_ties_by_node_sequence():
-    # [0, 3] (cost 1) pops before [0, 1] (cost 2), but adding node 2's entry
-    # of 2**54 rounds both routes to 2**54, so [0, 1, 2], pushed second, wins.
-    t = diamond_topology()
-    weights = {0: 0.25, 1: 0.75, 2: 2.0**53, 3: 0.25}
-    assert shortest_path(t, 0, 2, weights) == ([0, 1, 2], 2.0**54)
+        expected = brute_force_min_cost(t, src, dst, {i: 1 for i in range(n)})
+        if expected is None:
+            with pytest.raises(NoRouteError):
+                shortest_path(t, src, dst)
+            with pytest.raises(NoRouteError):
+                sdn_path_cost(t, PathCostWeights(random_weights), src, dst)
+            continue
+        assert shortest_path(t, src, dst) == (list(expected[1]), expected[0])
+        weighted = brute_force_min_cost(t, src, dst, random_weights)[0]
+        assert sdn_path_cost(t, PathCostWeights(random_weights), src, dst) == pytest.approx(weighted, rel=1e-12)
 
 
 def heap_of_paths_shortest_path(t, src, dst, node_weight):
@@ -861,23 +828,32 @@ def heap_of_paths_shortest_path(t, src, dst, node_weight):
     raise NoRouteError(f"no route from {src} to {dst}")
 
 
-def route_or_none(search, t, src, dst, weights):
+def route_or_none(search, *args):
     """The route, its cost and the cost's type (int weights give int costs)."""
     try:
-        path, cost = search(t, src, dst, weights)
+        path, cost = search(*args)
     except NoRouteError:
         return None
     return path, cost, type(cost)
 
 
+def path_cost_or_none(t, src, dst, weights):
+    """``sdn_path_cost`` and its type, or None without a route."""
+    try:
+        cost = sdn_path_cost(t, PathCostWeights(weights), src, dst)
+    except NoRouteError:
+        return None
+    return cost, type(cost)
+
+
 def weight_lists(size):
     return st.one_of(
-        st.just("unit"),  # every cost tie broken by the node sequence alone
+        st.just("unit"),  # 1.0 everywhere: the degree sums, as floats
         st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=size, max_size=size),
         # a 2**53 weight rounds unequal sums to equal costs
         st.lists(st.sampled_from([0.25, 0.75, 1.0, 2.0**53]), min_size=size, max_size=size),
         st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size),
-        # whole-number costs, exact in floats, so only the node sequence breaks ties
+        # whole-number costs, exact in floats
         st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=size, max_size=size),
         # whole numbers whose entry sums cross 2**53, where float sums stop being exact
         st.lists(st.sampled_from([1.0, 2.0, 3.0, 2.0**51, 2.0**52]), min_size=size, max_size=size),
@@ -886,12 +862,17 @@ def weight_lists(size):
 
 
 def assert_every_destination_matches(n, p, graph_seed, weights, src):
+    """``shortest_path`` gives the oracle's route, cost and cost type under int unit
+    weights; ``sdn_path_cost`` gives its cost and cost type under ``weights``."""
     t = generate_erdos_renyi(n, p, graph_seed)
+    unit = {i: 1 for i in range(n)}
     w = {i: 1.0 if weights == "unit" else weights[i] for i in range(n)}
     src %= n
     for dst in range(n):  # src itself and, on sparse graphs, unreachable nodes included
+        expected = route_or_none(heap_of_paths_shortest_path, t, src, dst, unit)
+        assert route_or_none(shortest_path, t, src, dst) == expected
         expected = route_or_none(heap_of_paths_shortest_path, t, src, dst, w)
-        assert route_or_none(shortest_path, t, src, dst, w) == expected
+        assert path_cost_or_none(t, src, dst, w) == (expected and expected[1:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -921,14 +902,13 @@ def test_pruned_search_matches_the_heap_of_paths_search_on_larger_graphs(
     assert_every_destination_matches(n, p, graph_seed, weights, src)
 
 
-def route_or_error(t, src, dst, weights=None):
-    """The route and cost of ``shortest_path``, or the type and text of its error."""
+def cost_or_error(search, *args):
+    """The cost and its type, or the type and text of the error."""
     try:
-        if weights is None:
-            return shortest_path(t, src, dst)
-        return shortest_path(t, src, dst, weights)
+        cost = search(*args)
     except (NoRouteError, IndexError) as exc:
         return type(exc), str(exc)
+    return cost, type(cost)
 
 
 @settings(max_examples=200, deadline=None)
@@ -941,12 +921,12 @@ def route_or_error(t, src, dst, weights=None):
 )
 def test_default_unit_weights_match_explicit_unit_weights(n, p, graph_seed, src):
     t = generate_erdos_renyi(n, p, graph_seed)
-    unit = {i: 1.0 for i in range(n)}
+    unit = PathCostWeights({i: 1 for i in range(n)})
     for dst in range(-1, n + 1):  # src itself, unreachable nodes and both out-of-range indices
-        default = route_or_error(t, src, dst)
-        assert default == route_or_error(t, src, dst, unit)
-        if isinstance(default[0], list):
-            assert type(default[1]) is int
+        default = cost_or_error(lambda: shortest_path(t, src, dst)[1])
+        assert default == cost_or_error(sdn_path_cost, t, unit, src, dst)
+        if default[0] not in (NoRouteError, IndexError):
+            assert default[1] is int
 
 
 def test_default_unit_weights_on_an_isolated_node_and_a_line():
@@ -975,7 +955,7 @@ def graph(n, edges=()):
     (((0, 1), (1, 2), (2, 3)), 1, 3, ([1, 2, 3], 5), [(1, 2), (3, 1)]),
 ], ids=["star", "line"])
 def test_search_pushes_no_entry_that_cannot_pop(edges, src, dst, route, pushes):
-    search = topology._bidirectional_search.__code__
+    search = shortest_path.__code__
     source, first = inspect.getsourcelines(search)
     insert_lines = {first + i for i, line in enumerate(source) if ".setdefault(cv, []).append(v)" in line}
     assert len(insert_lines) == 2  # one bucket insert per side
