@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ._checks import _check_fields
 from .topology import Topology
 # Unused here, but bench/test_sweep_bench.py checks that its tracer wraps this binding.
 from .topology import distance  # noqa: F401
@@ -26,13 +27,8 @@ class OverheadParams:
     flood_multiplier: float = 1.5    # traditional-mode flooding penalty
 
     def __post_init__(self) -> None:
-        for name in ("packet_size_bits", "pair_coefficient", "flood_multiplier"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.packet_size_bits <= 0:
-            raise ValueError("packet_size_bits must be positive")
-        if self.pair_coefficient < 0 or self.flood_multiplier < 0:
-            raise ValueError("coefficients must be non-negative")
+        _check_fields(self, positive=("packet_size_bits",),
+                      non_negative=("pair_coefficient", "flood_multiplier"))
 
 
 @dataclass(frozen=True)
@@ -49,15 +45,8 @@ class CapacityGains:
     sliced_gain: float = 1.5
 
     def __post_init__(self) -> None:
-        for name in ("clustered_share", "clustered_gain", "sliced_share", "sliced_gain"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("clustered_share", "sliced_share"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1]")
-        for name in ("clustered_gain", "sliced_gain"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_fields(self, non_negative=("clustered_gain", "sliced_gain"),
+                      unit_interval=("clustered_share", "sliced_share"))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@
 mirroring ``ScenarioConfig`` fields (``controller.capacity_mu = 10``,
 ``topology.link_probability = 0.05``, or bare root fields such as
 ``seed = 7``). Unknown keys, malformed or non-finite values, and invariant
-violations are rejected with the offending key and line number. Absent keys
+violations are rejected with the offending key and line number, as
+``path:LINE: dotted.key must be ...`` for a value out of range. Absent keys
 keep the calibrated defaults, so an empty file is the reference scenario.
 """
 
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import re
 from typing import Any
 
+from ._checks import _FieldError
 from .simulator import ScenarioConfig
 
 
@@ -22,9 +23,10 @@ class ConfigError(ValueError):
     """A scenario config file could not be parsed or validated."""
 
 
-#: Fields that are not keys, because the scenario derives them: the
-#: controller's queue horizon is the root ``sim_duration_s``.
-_DERIVED = ("controller.sim_duration_s",)
+#: Fields that are not keys, because the scenario derives them, mapped to
+#: the key they come from: the controller's queue horizon is the root
+#: ``sim_duration_s``.
+_DERIVED = {"controller.sim_duration_s": "sim_duration_s"}
 
 
 def _field_registry() -> dict[str, tuple[str | None, str, type]]:
@@ -76,7 +78,7 @@ def parse_config(path: str) -> ScenarioConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    cfg = ScenarioConfig()
+    given: dict[str | None, dict[str, Any]] = {}
     key_lines: dict[str, int] = {}
     for line_no, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -91,24 +93,24 @@ def parse_config(path: str) -> ScenarioConfig:
             raise ConfigError(f"{path}:{line_no}: duplicate key '{key}' (first set on line {key_lines[key]})")
         key_lines[key] = line_no
         group, name, target = _REGISTRY[key]
-        value = _parse_value(raw, target, key, line_no, path)
-        if group is None:
-            setattr(cfg, name, value)
-            continue
-        # Every group checks each field on its own, so setting one key at a
-        # time fails on the key that is out of range.
-        try:
-            setattr(cfg, group, dataclasses.replace(getattr(cfg, group), **{name: value}))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: invalid '{group}' settings: {exc}") from exc
+        given.setdefault(group, {})[name] = _parse_value(raw, target, key, line_no, path)
 
+    cfg = ScenarioConfig(**given.pop(None, {}))
+    # The controller queue runs over the scenario's horizon.
+    given.setdefault("controller", {})["sim_duration_s"] = cfg.sim_duration_s
+    prefix = ""
     try:
-        # The controller queue runs over the scenario's horizon.
-        cfg.controller = dataclasses.replace(cfg.controller, sim_duration_s=cfg.sim_duration_s)
+        # Each group is built once from all of its keys, so a check between
+        # two fields sees both, whatever their order in the file.
+        for group, kwargs in given.items():
+            prefix = f"{group}."
+            setattr(cfg, group, type(getattr(cfg, group))(**kwargs))
+        prefix = ""
         cfg.validate()
-    except ValueError as exc:
-        message = str(exc)  # names the offending field by its key
-        culprit = next((k for k in key_lines if re.search(rf"(?<![\w.]){re.escape(k)}\b", message)), None)
-        where = f"{path}:{key_lines[culprit]}: " if culprit else f"{path}: "
-        raise ConfigError(f"{where}{message}") from exc
+    except _FieldError as exc:
+        keys = [_DERIVED.get(prefix + name, prefix + name) for name in exc.fields]
+        # The defaults pass every check, so the file set a field at fault; a
+        # check between two fields blames the later of their lines.
+        line_no = max(key_lines[key] for key in keys if key in key_lines)
+        raise ConfigError(f"{path}:{line_no}: {exc.render(keys)}") from exc
     return cfg

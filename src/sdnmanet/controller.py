@@ -16,10 +16,10 @@ under the threshold; the pair below reproduces both behaviors.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
+from ._checks import _check_fields
 from .rng import arrival_times, poisson
 
 @dataclass(frozen=True)
@@ -33,20 +33,8 @@ class ControllerConfig:
     half_saturation_nodes: int = 40     # nodes at which latency reaches half the threshold
 
     def __post_init__(self) -> None:
-        for name in ("capacity_mu", "event_rate_lambda", "latency_threshold_ms", "sim_duration_s",
-                     "half_saturation_nodes"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.capacity_mu <= 0:
-            raise ValueError("capacity_mu must be positive")
-        if self.event_rate_lambda < 0:
-            raise ValueError("event_rate_lambda must be non-negative")
-        if self.latency_threshold_ms <= 0:
-            raise ValueError("latency_threshold_ms must be positive")
-        if self.sim_duration_s <= 0:
-            raise ValueError("sim_duration_s must be positive")
-        if self.half_saturation_nodes <= 0:
-            raise ValueError("half_saturation_nodes must be positive")
+        _check_fields(self, positive=("capacity_mu", "latency_threshold_ms", "sim_duration_s",
+                                      "half_saturation_nodes"), non_negative=("event_rate_lambda",))
 
 
 @dataclass(frozen=True)

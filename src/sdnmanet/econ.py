@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import _check_fields
+
 #: Largest node count ``crossover_n`` scans.
 CROSSOVER_MAX_N = 1_000_000
 
@@ -33,11 +35,7 @@ class CostParams:
     node_maint_sdn: float = 15.0
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_fields(self, non_negative=self.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -114,9 +112,10 @@ def crossover_n(params: CostParams) -> int | None:
     traditional total (capex + opex); ``None`` when it never does within
     ``CROSSOVER_MAX_N`` nodes.
 
-    Scans the linear totals upward from n=1 rather than solving the
-    break-even equation, so the answer is the first n at which the computed
-    totals cross, which a rounded quotient could miss by one.
+    Scans the linear totals upward rather than solving the break-even
+    equation, so the answer is the first n at which the computed totals
+    cross, which a rounded quotient could miss by one. The scan starts just
+    below ``fixed / saving``, where no earlier n can cross.
     """
     per_node_trad = (
         params.node_hw_traditional + params.node_sw_traditional
@@ -131,7 +130,16 @@ def crossover_n(params: CostParams) -> int | None:
     if per_node_sdn >= per_node_trad:
         # No per-node saving: either SDN already wins at n=1 or never will.
         return 1 if per_node_sdn + fixed_sdn <= per_node_trad else None
-    for n in range(1, CROSSOVER_MAX_N + 1):
+    start = 1
+    if all(x == 0 or 2.0**-900 <= x <= 2.0**900 for x in (per_node_trad, per_node_sdn, fixed_sdn)):
+        # In exact arithmetic no n below fixed / saving crosses. The scan's
+        # three roundings, each at most 2**-53 of a result that the range
+        # check keeps clear of overflow and underflow, bring the first
+        # crossing down by less than the 2**-50 slack in this quotient does.
+        quotient = fixed_sdn * (1 - 2**-50) / (
+            per_node_trad - per_node_sdn + 2**-50 * (per_node_sdn + per_node_trad))
+        start = max(1, int(min(quotient, CROSSOVER_MAX_N + 1)))
+    for n in range(start, CROSSOVER_MAX_N + 1):
         if n * per_node_sdn + fixed_sdn <= n * per_node_trad:
             return n
     return None

@@ -11,8 +11,9 @@ far above the sweep range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from ._checks import _check_fields
 
 RESOURCE_KINDS = ("cpu", "memory", "network", "storage")
 
@@ -31,12 +32,7 @@ class ResourceCurveParams:
     storage_saturation_n: float = 40_000_000.0
 
     def __post_init__(self) -> None:
-        for kind in RESOURCE_KINDS:
-            for name in (f"{kind}_alpha", f"{kind}_saturation_n"):
-                if not math.isfinite(getattr(self, name)):
-                    raise ValueError(f"{name} must be finite")
-                if getattr(self, name) <= 0:
-                    raise ValueError(f"{name} must be positive")
+        _check_fields(self, positive=self.__dataclass_fields__)
 
     def alpha(self, kind: str) -> float:
         _check_kind(kind)

@@ -11,6 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from ._checks import _check_fields
 from .topology import NoRouteError, Topology, _check_node
 
 
@@ -29,15 +30,7 @@ class RoutingParams:
     control_msg_bits: int = 512
 
     def __post_init__(self) -> None:
-        for name in (
-            "per_hop_delay_ms", "discovery_base_ms", "propagation_base_ms",
-            "reconfig_base_ms", "controller_compute_ms", "controller_rtt_ms",
-            "discovery_flood_factor", "sdn_update_rate_per_node_s", "control_msg_bits",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        _check_fields(self, non_negative=self.__dataclass_fields__)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ the 50-node reference comparison lands on a 25% hardware-cost reduction,
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, fields
 
@@ -26,6 +25,7 @@ from . import controller as ctl
 from . import econ
 from . import resources as res
 from . import routing as rt
+from ._checks import _FieldError, _check_fields
 from .rng import derive_seed, rand_index
 from .topology import NoRouteError, Topology, generate_erdos_renyi, shortest_path, step_mobility
 
@@ -40,6 +40,11 @@ class SweepSettings:
     end: int = 200
     step: int = 30
 
+    def __post_init__(self) -> None:
+        _check_fields(self, positive=("start", "step"))
+        if self.end < self.start:
+            raise _FieldError(("end", "start"), "must not precede")
+
 
 @dataclass(frozen=True)
 class TopologySettings:
@@ -52,6 +57,13 @@ class TopologySettings:
     speed_min_mps: float = 1.0
     speed_max_mps: float = 10.0
     mobility_step_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_fields(self, positive=("area_width_m", "area_height_m", "node_capacity_bps",
+                                      "mobility_step_s"),
+                      non_negative=("speed_min_mps",), unit_interval=("link_probability",))
+        if self.speed_min_mps > self.speed_max_mps:
+            raise _FieldError(("speed_min_mps", "speed_max_mps"), "must not exceed")
 
 
 @dataclass
@@ -79,54 +91,15 @@ class ScenarioConfig:
     resources: res.ResourceCurveParams = field(default_factory=res.ResourceCurveParams)
 
     def validate(self) -> None:
-        """Raise ValueError naming the offending dotted field path."""
-        for prefix, settings in (("", self), ("sweep.", self.sweep), ("topology.", self.topology)):
-            for f in fields(settings):
-                value = getattr(settings, f.name)
-                if isinstance(value, (int, float)) and not math.isfinite(value):
-                    raise ValueError(f"{prefix}{f.name} must be finite")
-                if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                    raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
-        if self.sweep.start < 1:
-            raise ValueError("sweep.start must be at least 1")
-        if self.sweep.step < 1:
-            raise ValueError("sweep.step must be at least 1")
-        if self.sweep.end < self.sweep.start:
-            raise ValueError("sweep.end must not precede sweep.start")
-        if not 0.0 <= self.topology.link_probability <= 1.0:
-            raise ValueError("topology.link_probability must be within [0, 1]")
-        if self.topology.area_width_m <= 0 or self.topology.area_height_m <= 0:
-            raise ValueError("topology.area_width_m and topology.area_height_m must be positive")
-        if self.topology.node_capacity_bps <= 0:
-            raise ValueError("topology.node_capacity_bps must be positive")
-        if not 0.0 <= self.topology.speed_min_mps <= self.topology.speed_max_mps:
-            raise ValueError(
-                "topology.speed_min_mps and topology.speed_max_mps must satisfy 0 <= min <= max"
-            )
-        if self.topology.mobility_step_s <= 0:
-            raise ValueError("topology.mobility_step_s must be positive")
-        if self.seeds_per_point < 1:
-            raise ValueError("seeds_per_point must be at least 1")
-        if self.sim_duration_s <= 0:
-            raise ValueError("sim_duration_s must be positive")
+        """Check the root fields; each settings group checks itself when built."""
+        _check_fields(self, positive=("seeds_per_point", "sim_duration_s", "flow_samples",
+                                      "per_node_demand_bps", "reference_speed_mps",
+                                      "latency_window_s", "reference_n"),
+                      non_negative=("controller_capacity_bps", "rediscovery_base_rate"))
+        if self.eta_optimization <= 1.0:
+            raise _FieldError(("eta_optimization",), "must exceed 1")
         if self.controller.sim_duration_s != self.sim_duration_s:
             raise ValueError("controller.sim_duration_s must equal sim_duration_s")
-        if self.flow_samples < 1:
-            raise ValueError("flow_samples must be at least 1")
-        if self.per_node_demand_bps <= 0:
-            raise ValueError("per_node_demand_bps must be positive")
-        if self.controller_capacity_bps < 0:
-            raise ValueError("controller_capacity_bps must be non-negative")
-        if self.eta_optimization <= 1.0:
-            raise ValueError("eta_optimization must exceed 1")
-        if self.rediscovery_base_rate < 0:
-            raise ValueError("rediscovery_base_rate must be non-negative")
-        if self.reference_speed_mps <= 0:
-            raise ValueError("reference_speed_mps must be positive")
-        if self.latency_window_s <= 0:
-            raise ValueError("latency_window_s must be positive")
-        if self.reference_n < 1:
-            raise ValueError("reference_n must be at least 1")
 
     def sweep_points(self) -> list[int]:
         return list(range(self.sweep.start, self.sweep.end + 1, self.sweep.step))

@@ -103,8 +103,26 @@ def test_negative_dataclass_field_rejected(tmp_path):
 
 def test_group_error_names_the_offending_keys_line(tmp_path):
     text = "controller.capacity_mu = 12\nseed = 3\ncontroller.event_rate_lambda = -1\n"
-    with pytest.raises(ConfigError, match=r":3: invalid 'controller' settings: event_rate_lambda"):
+    with pytest.raises(ConfigError, match=r":3: controller\.event_rate_lambda must be non-negative$"):
         parse_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("first, last, message", [
+    ("topology.area_width_m = 500", "topology.area_height_m = -5",
+     r"topology\.area_height_m must be positive"),
+    ("topology.speed_max_mps = 20", "topology.speed_min_mps = -1",
+     r"topology\.speed_min_mps must be non-negative"),
+    ("sweep.start = 150", "sweep.end = 100", r"sweep\.end must not precede sweep\.start"),
+    ("sweep.end = 100", "sweep.start = 150", r"sweep\.end must not precede sweep\.start"),
+    ("topology.speed_min_mps = 5", "topology.speed_max_mps = 2",
+     r"topology\.speed_min_mps must not exceed topology\.speed_max_mps"),
+    ("topology.speed_max_mps = 2", "topology.speed_min_mps = 5",
+     r"topology\.speed_min_mps must not exceed topology\.speed_max_mps"),
+], ids=["area", "speed", "sweep-end-last", "sweep-start-last", "speed-max-last", "speed-min-last"])
+def test_range_error_names_the_bad_keys_line(tmp_path, first, last, message):
+    # Both fields are read before either is checked, and the later line is blamed.
+    with pytest.raises(ConfigError, match=rf":3: {message}$"):
+        parse_config(write(tmp_path, f"{first}\nseed = 3\n{last}\n"))
 
 
 @pytest.mark.parametrize("value", ["-1", "0"])
@@ -156,6 +174,11 @@ def test_reference_cfg_lists_every_key_at_its_default(tmp_path):
     assert parse_config(write(tmp_path, uncommented)) == ScenarioConfig()
 
 
+def test_integer_too_large_for_a_float_is_still_an_integer(tmp_path):
+    # It used to escape as an OverflowError from the finiteness check.
+    assert parse_config(write(tmp_path, f"seed = {'1' * 400}\n")).seed == int("1" * 400)
+
+
 def test_undecodable_file_is_config_error(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_bytes(b"seed = \xff\n")
@@ -174,16 +197,42 @@ _VALUES = (
 )
 _ASSIGNMENTS = st.tuples(_KEYS, _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}")
 _LINES = st.one_of(_ASSIGNMENTS, _ASSIGNMENTS, st.text(max_size=20), st.just("# comment"))
+# Keys of one group with small values, so checks between two fields fire.
+_GROUP_KEYS = {}
+for _key in sorted(_REGISTRY):
+    _GROUP_KEYS.setdefault(_key.rpartition(".")[0], []).append(_key)
+_GROUP_FILES = st.sampled_from(sorted(_GROUP_KEYS)).flatmap(lambda group: st.lists(
+    st.tuples(st.sampled_from(_GROUP_KEYS[group]), st.sampled_from(["-1", "0", "0.5", "1", "2", "3"])),
+    max_size=6, unique_by=lambda kv: kv[0]).map(lambda kvs: [f"{k} = {v}" for k, v in kvs]))
+
+
+def assert_names_its_line(path, message):
+    """A ``path:N:`` error quotes the key set on line N. A range error
+    (``key must ...``) comes once the whole file is read, so N is the last line
+    that sets a key it names."""
+    found = re.match(rf"{re.escape(path)}:(\d+): ", message)
+    if found is None:
+        return
+    line_no, rest = int(found[1]), message[found.end():]
+    with open(path, encoding="utf-8") as handle:  # the parser's line split
+        texts = [line.split("#", 1)[0] for line in handle]
+    keys = {n: text.split("=", 1)[0].strip() for n, text in enumerate(texts, 1) if "=" in text}
+    if line_no in keys:
+        assert keys[line_no] in rest
+    if re.match(r"[\w.]+ must ", rest):
+        named = {k for k in _REGISTRY if re.search(rf"(?<![\w.]){re.escape(k)}(?![\w.])", rest)}
+        assert line_no == max(n for n, key in keys.items() if key in named), message
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_LINES, max_size=6))
+@given(st.lists(_LINES, max_size=6) | _GROUP_FILES)
 def test_parser_raises_only_config_error(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("cfg") / "scenario.cfg"
     path.write_text("\n".join(lines), encoding="utf-8")
     try:
         cfg = parse_config(str(path))
-    except ConfigError:
+    except ConfigError as exc:
+        assert_names_its_line(str(path), str(exc))
         return
     cfg.validate()
     for key, (group, name, _) in _REGISTRY.items():

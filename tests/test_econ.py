@@ -5,8 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdnmanet.econ import (
+    CROSSOVER_MAX_N,
     AllocationState,
     CostParams,
     RiskProfile,
@@ -20,18 +23,25 @@ from sdnmanet.econ import (
 )
 
 
-def closed_form_crossover(params: CostParams, max_n: int = 1_000_000):
-    """Oracle: ceil(fixed-cost gap / per-node saving) from the linear totals."""
+def cost_sums(params: CostParams):
+    """Per-node traditional and SDN costs and the SDN fixed cost, summed as
+    ``crossover_n`` sums them."""
     per_node_trad = (
         params.node_hw_traditional + params.node_sw_traditional
         + params.node_maint_traditional + params.node_monitor_traditional
         + params.node_config_traditional
     )
     per_node_sdn = params.node_hw_sdn + params.node_maint_sdn
-    fixed_gap = (
+    fixed_sdn = (
         params.controller_capex + params.controller_maint
         + params.controller_config + params.controller_monitor
     )
+    return per_node_trad, per_node_sdn, fixed_sdn
+
+
+def closed_form_crossover(params: CostParams, max_n: int = 1_000_000):
+    """Oracle: ceil(fixed-cost gap / per-node saving) from the linear totals."""
+    per_node_trad, per_node_sdn, fixed_gap = cost_sums(params)
     saving = per_node_trad - per_node_sdn
     if saving <= 0:
         return 1 if fixed_gap <= saving else None
@@ -174,6 +184,43 @@ def test_crossover_matches_closed_form_on_random_draws():
             node_maint_sdn=rng.uniform(0, 80),
         )
         assert crossover_n(params) == closed_form_crossover(params)
+
+
+def scanned_crossover(params: CostParams):
+    """Oracle: the first n from 1 up at which the computed totals cross."""
+    per_node_trad, per_node_sdn, fixed_sdn = cost_sums(params)
+    if per_node_sdn >= per_node_trad:
+        return 1 if per_node_sdn + fixed_sdn <= per_node_trad else None
+    return next((n for n in range(1, CROSSOVER_MAX_N + 1)
+                 if n * per_node_sdn + fixed_sdn <= n * per_node_trad), None)
+
+
+def with_sums(per_node_trad, per_node_sdn, fixed_sdn):
+    """CostParams whose three sums are exactly the given amounts."""
+    zeros = dict.fromkeys((f.name for f in dataclasses.fields(CostParams)), 0.0)
+    return CostParams(**{**zeros, "node_hw_traditional": per_node_trad,
+                         "node_hw_sdn": per_node_sdn, "controller_capex": fixed_sdn})
+
+
+def _tiny_saving(per_node_trad, ulps, quotient):
+    saving = ulps * math.ulp(per_node_trad)
+    return with_sums(per_node_trad, per_node_trad - saving, quotient * saving)
+
+
+# A saving of a few units in the last place, with the break-even quotient
+# either small or near CROSSOVER_MAX_N, where rounding decides the answer.
+_TINY_SAVINGS = st.builds(_tiny_saving, st.floats(1.0, 1e4), st.integers(1, 1000),
+                          st.floats(0.0, 3e3) | st.floats(0.0, 3e3) | st.floats(0.99e6, 1.01e6))
+_ORDINARY = st.builds(CostParams, **{f.name: st.floats(0.0, 500.0)
+                                     for f in dataclasses.fields(CostParams)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_TINY_SAVINGS | _ORDINARY)
+@example(CostParams(node_hw_sdn=134.9999))  # saving 1e-4 per node: never within the cap
+@example(with_sums(150.0, 150.0 - 2**-45, 1e-8))
+def test_crossover_matches_the_scan_from_one(params):
+    assert crossover_n(params) == scanned_crossover(params)
 
 
 # ---------------------------------------------------------------- allocation

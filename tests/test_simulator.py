@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from sdnmanet import controller as ctl
 from sdnmanet.controller import fluid_backlog
+from sdnmanet.config import _REGISTRY
 from sdnmanet.econ import CostParams
 from sdnmanet.rng import rand_index
 from sdnmanet.simulator import (
     ComparisonRow,
     MetricsReport,
     ScenarioConfig,
-    SweepSettings,
-    TopologySettings,
     _sample_hops,
     compare,
     pdr_model,
@@ -289,13 +288,11 @@ def test_compare_overhead_ratio_below_one_everywhere(small_sweep):
 
 
 def test_config_validation_names_field_paths():
-    cfg = ScenarioConfig()
-    cfg.topology = dataclasses.replace(cfg.topology, link_probability=1.5)
-    with pytest.raises(ValueError, match="topology.link_probability"):
-        cfg.validate()
-    cfg = ScenarioConfig(seeds_per_point=0)
-    with pytest.raises(ValueError, match="seeds_per_point"):
-        cfg.validate()
+    # A group checks itself when built; the config parser adds the group's prefix.
+    with pytest.raises(ValueError, match=r"^link_probability must be within \[0, 1\]$"):
+        dataclasses.replace(ScenarioConfig().topology, link_probability=1.5)
+    with pytest.raises(ValueError, match="^seeds_per_point must be at least 1$"):
+        ScenarioConfig(seeds_per_point=0).validate()
 
 
 # ------------------------------------------------------------------ hop sampling
@@ -382,44 +379,37 @@ def test_sampled_flows_are_routed_exactly_when_both_ends_share_a_component(
         assert count >= bfs_hops(n, topo.edges, src)[dst]
 
 
-NUMERIC_CONFIG_FIELDS = [
-    (section, f.name)
-    for section, settings in (("", ScenarioConfig()), ("sweep", SweepSettings()),
-                              ("topology", TopologySettings()))
-    for f in dataclasses.fields(settings)
-    if isinstance(getattr(settings, f.name), (int, float))
-]
+def build_with(path, value):
+    """Build the group of the dotted config key ``path`` directly with
+    ``value`` in that field; a root field is checked by ``validate()``."""
+    group, _, name = path.rpartition(".")
+    if group:
+        type(getattr(ScenarioConfig(), group))(**{name: value})
+    else:
+        ScenarioConfig(**{name: value}).validate()
 
 
-@pytest.mark.parametrize("section, name", NUMERIC_CONFIG_FIELDS,
-                         ids=[f"{s}.{n}" if s else n for s, n in NUMERIC_CONFIG_FIELDS])
+# Every config key, plus the controller's horizon, which the parser derives.
+NUMERIC_CONFIG_FIELDS = [*_REGISTRY, "controller.sim_duration_s"]
+
+
+@pytest.mark.parametrize("path", NUMERIC_CONFIG_FIELDS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_config_validation_rejects_non_finite_values(section, name, bad):
+def test_config_validation_rejects_non_finite_values(path, bad):
     # NaN fails no range check; a NaN sim_duration_s would be reported as
     # "controller.sim_duration_s must equal sim_duration_s".
-    cfg = ScenarioConfig()
-    if section:
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{name: bad}))
-    else:
-        setattr(cfg, name, bad)
-    path = f"{section}.{name}" if section else name
-    with pytest.raises(ValueError, match=f"^{re.escape(path)} must be finite$"):
-        cfg.validate()
+    name = path.rpartition(".")[2]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$"):
+        build_with(path, bad)
 
 
-INTEGER_CONFIG_FIELDS = ["seed", "seeds_per_point", "flow_samples", "reference_n",
-                         "sweep.start", "sweep.end", "sweep.step"]
+INTEGER_CONFIG_FIELDS = [key for key, (_, _, kind) in _REGISTRY.items() if kind is int]
 
 
 @pytest.mark.parametrize("path", INTEGER_CONFIG_FIELDS)
 @pytest.mark.parametrize("bad", [2.5, 30.0, True], ids=["fraction", "whole-float", "bool"])
 def test_config_validation_rejects_non_integer_counts(path, bad):
     # flow_samples = 2.5 used to pass, then fail in run_scenario with a TypeError naming no key.
-    cfg = ScenarioConfig()
-    section, _, name = path.rpartition(".")
-    if section:
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{name: bad}))
-    else:
-        setattr(cfg, name, bad)
-    with pytest.raises(ValueError, match=f"^{re.escape(path)} must be an integer, got {bad!r}$"):
-        cfg.validate()
+    name = path.rpartition(".")[2]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {bad!r}$"):
+        build_with(path, bad)
