@@ -8,8 +8,9 @@ Run it only for a declared output change, then review the diff:
   defaults (an empty config), verbatim;
 * ``charts.sha256``: the SHA-256 of each chart of that sweep, in
   ``sha256sum`` format;
-* ``capacity_n1000.csv``: the stdout of ``sdnmanet capacity
-  scenarios/reference.cfg --n 1000 --quiet``.
+* each name in ``STDOUT``: the stdout of that subcommand on
+  ``scenarios/reference.cfg`` with ``--quiet``; ``capacity_n1000.csv``, for
+  one, holds ``sdnmanet capacity scenarios/reference.cfg --n 1000 --quiet``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sdnmanet.cli import main  # noqa: E402
 
+#: Golden file -> subcommand and flags whose stdout it holds.
+STDOUT = {
+    "capacity_n1000.csv": ["capacity", "--n", "1000"],
+    "cost_n50.csv": ["cost", "--n", "50"],
+    "resources.csv": ["resources"],
+    "simulate_n170_traditional.csv": ["simulate", "--n", "170", "--mode", "traditional"],
+    "simulate_n170_sdn.csv": ["simulate", "--n", "170", "--mode", "sdn"],
+}
+
 
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
@@ -40,12 +50,13 @@ def regenerate() -> None:
         (GOLDEN / "charts.sha256").write_text(
             "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in charts),
             encoding="utf-8", newline="\n")
-    captured = io.StringIO()
-    with contextlib.redirect_stdout(captured):
-        code = main(["capacity", str(ROOT / "scenarios" / "reference.cfg"), "--n", "1000", "--quiet"])
-    if code != 0:
-        raise SystemExit("capacity failed")
-    (GOLDEN / "capacity_n1000.csv").write_bytes(captured.getvalue().encode("utf-8"))
+    for name, (command, *flags) in STDOUT.items():
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            code = main([command, str(ROOT / "scenarios" / "reference.cfg"), *flags, "--quiet"])
+        if code != 0:
+            raise SystemExit(f"{command} failed")
+        (GOLDEN / name).write_bytes(captured.getvalue().encode("utf-8"))
 
 
 if __name__ == "__main__":

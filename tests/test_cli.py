@@ -170,6 +170,19 @@ def test_capacity_at_large_n_matches_golden(capsys):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "capacity_n1000.csv").read_bytes()
 
 
+@pytest.mark.parametrize("golden, command", [
+    ("cost_n50.csv", ["cost", "--n", "50"]),
+    ("resources.csv", ["resources"]),
+    ("simulate_n170_traditional.csv", ["simulate", "--n", "170", "--mode", "traditional"]),
+    ("simulate_n170_sdn.csv", ["simulate", "--n", "170", "--mode", "sdn"]),
+])
+def test_stdout_matches_golden(golden, command, capsys):
+    # The cost table, the utilization curves over the sweep range, and one
+    # run per mode at a size where the SDN controller queue saturates.
+    assert main([command[0], REFERENCE_CFG, *command[1:], "--quiet"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
 # ---------------------------------------------------------------- resources
 
 def test_resources_curve_rows(small_cfg, capsys):
