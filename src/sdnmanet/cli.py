@@ -30,6 +30,8 @@ from .report import (
 )
 from .simulator import (
     MODES,
+    RESOURCE_COLUMNS,
+    MetricsReport,
     ScenarioConfig,
     capacity_breakdown,
     compare,
@@ -57,6 +59,16 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
+#: The per-mode charts of a sweep: file, title, y label, ``MetricsReport`` column.
+_MODE_CHARTS = (
+    ("latency.svg", "Average latency vs network size", "latency (ms)", "latency_avg_ms"),
+    ("capacity.svg", "Effective capacity vs network size", "capacity (bits/s)",
+     "effective_capacity_bps"),
+    ("pdr.svg", "Packet delivery ratio vs network size", "PDR", "pdr"),
+    ("queue.svg", "Controller queue backlog vs network size", "pending requests", "queue_backlog"),
+)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     _note(args, f"running sweep over n={cfg.sweep_points()} with {cfg.seeds_per_point} seeds per point")
@@ -66,40 +78,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _write_text(os.path.join(args.out, "metrics.csv"), render_metrics_csv(pairs))
     _write_text(os.path.join(args.out, "comparison.csv"), render_comparison_csv(comparison))
 
-    ns = [trad.n for trad, _ in pairs]
+    by_mode = dict(zip(MODES, zip(*pairs)))
 
-    def series(attr: str) -> list[tuple[str, list[tuple[float, float]]]]:
-        return [
-            ("traditional", [(float(t.n), getattr(t, attr)) for t, _ in pairs]),
-            ("sdn", [(float(s.n), getattr(s, attr)) for _, s in pairs]),
-        ]
+    def series(column: str, reports: tuple[MetricsReport, ...]) -> list[tuple[float, float]]:
+        return [(float(r.n), getattr(r, column)) for r in reports]
 
     charts = {
-        "latency.svg": line_chart(
-            "Average latency vs network size", "nodes", "latency (ms)", series("latency_avg_ms")
-        ),
-        "capacity.svg": line_chart(
-            "Effective capacity vs network size", "nodes", "capacity (bits/s)",
-            series("effective_capacity_bps"),
-        ),
-        "pdr.svg": line_chart(
-            "Packet delivery ratio vs network size", "nodes", "PDR", series("pdr")
-        ),
-        "queue.svg": line_chart(
-            "Controller queue backlog vs network size", "nodes", "pending requests",
-            series("queue_backlog"),
-        ),
-        "utilization.svg": line_chart(
-            "Controller resource utilization (SDN)", "nodes", "utilization (%)",
-            [
-                (kind, [(float(s.n), getattr(s, attr)) for _, s in pairs])
-                for kind, attr in (
-                    ("cpu", "cpu_pct"), ("memory", "mem_pct"),
-                    ("network", "net_pct"), ("storage", "storage_pct"),
-                )
-            ],
-        ),
+        name: line_chart(title, "nodes", y_label,
+                         [(mode, series(column, reports)) for mode, reports in by_mode.items()])
+        for name, title, y_label, column in _MODE_CHARTS
     }
+    charts["utilization.svg"] = line_chart(
+        "Controller resource utilization (SDN)", "nodes", "utilization (%)",
+        [(kind, series(column, by_mode["sdn"]))
+         for kind, column in zip(res.RESOURCE_KINDS, RESOURCE_COLUMNS)],
+    )
     for name, svg in charts.items():
         _write_text(os.path.join(args.out, name), svg)
     _note(args, f"wrote metrics.csv, comparison.csv, and {len(charts)} charts to {args.out}")
@@ -116,20 +109,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     n, costs = args.n, cfg.costs
-    capex_trad = econ.capex_traditional(n, costs)
-    capex_sdn = econ.capex_sdn(n, costs)
-    hw_trad = n * costs.node_hw_traditional
-    opex_trad = econ.opex_traditional(n, costs)
-    opex_sdn = econ.opex_sdn(n, costs)
+    hardware_reduction, opex_reduction = econ.cost_reductions(n, costs)
     crossover = econ.crossover_n(costs)
     rows: list[list[object]] = [
-        ["capex_traditional", capex_trad],
-        ["capex_hardware_traditional", hw_trad],
-        ["capex_sdn", capex_sdn],
-        ["opex_traditional", opex_trad],
-        ["opex_sdn", opex_sdn],
-        ["hardware_capex_reduction", 1.0 - capex_sdn / hw_trad],
-        ["opex_reduction", 1.0 - opex_sdn / opex_trad],
+        ["capex_traditional", econ.capex_traditional(n, costs)],
+        ["capex_hardware_traditional", n * costs.node_hw_traditional],
+        ["capex_sdn", econ.capex_sdn(n, costs)],
+        ["opex_traditional", econ.opex_traditional(n, costs)],
+        ["opex_sdn", econ.opex_sdn(n, costs)],
+        ["hardware_capex_reduction", hardware_reduction],
+        ["opex_reduction", opex_reduction],
         ["crossover_n", crossover if crossover is not None else "never"],
     ]
     sys.stdout.write(render_csv(["metric", "value"], rows))
@@ -156,7 +145,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
         [n] + [res.utilization(kind, n, cfg.resources) for kind in res.RESOURCE_KINDS]
         for n in cfg.sweep_points()
     ]
-    sys.stdout.write(render_csv(["n", "cpu_pct", "mem_pct", "net_pct", "storage_pct"], rows))
+    sys.stdout.write(render_csv(["n", *RESOURCE_COLUMNS], rows))
     return 0
 
 

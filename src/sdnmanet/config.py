@@ -49,17 +49,6 @@ _REGISTRY = _field_registry()
 
 def _parse_value(raw: str, target: type, key: str, line_no: int, path: str) -> Any:
     try:
-        if target is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if target is int:
-            if "." in raw or "e" in raw.lower():
-                raise ValueError(raw)
-            return int(raw)
         value = target(raw)
     except ValueError:
         raise ConfigError(

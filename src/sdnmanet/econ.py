@@ -107,6 +107,22 @@ def opex_sdn(n: int, params: CostParams) -> float:
     return controller + n * params.node_maint_sdn
 
 
+def cost_reductions(n: int, params: CostParams) -> tuple[float, float]:
+    """Hardware-capex and opex reductions of SDN at ``n`` nodes, each
+    ``1 - sdn / traditional`` and NaN when the traditional cost is zero.
+
+    The hardware reduction sets SDN hardware (nodes plus controller) against
+    traditional node hardware alone, since the controller price subsumes the
+    software that traditional nodes carry.
+    """
+    return (_reduction(capex_sdn(n, params), n * params.node_hw_traditional),
+            _reduction(opex_sdn(n, params), opex_traditional(n, params)))
+
+
+def _reduction(sdn: float, traditional: float) -> float:
+    return 1.0 - sdn / traditional if traditional else math.nan
+
+
 def crossover_n(params: CostParams) -> int | None:
     """Smallest node count at which total SDN cost stops exceeding the
     traditional total (capex + opex); ``None`` when it never does within

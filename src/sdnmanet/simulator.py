@@ -134,6 +134,11 @@ class MetricsReport:
     saturated: bool
 
 
+#: The ``MetricsReport`` column of each controller resource, in
+#: ``resources.RESOURCE_KINDS`` order.
+RESOURCE_COLUMNS = ("cpu_pct", "mem_pct", "net_pct", "storage_pct")
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     """SDN-versus-traditional ratios at one node count."""
@@ -253,49 +258,32 @@ def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsRe
     routable_fraction = len(hops) / flows_total if flows_total else 1.0
 
     params, break_rate = cfg.routing, rediscovery_rate(cfg, n)
-
-    if mode == "traditional":
-        per_flow = [rt.latency_manet(params, h, cfg.latency_window_s, break_rate) for h in (hops or [1])]
-        latency_max = max(per_flow)
-        repair_ms = rt.update_time(params)
-    else:
+    if mode == "sdn":
         per_flow = [rt.latency_sdn(params, h) for h in (hops or [1])]
         latency_max = ctl.max_latency_model(n, cfg.controller)
         repair_ms = rt.sdn_update_time(params)
-    latency_avg = sum(per_flow) / len(per_flow)
-
-    pdr = pdr_model(break_rate, repair_ms) * routable_fraction
-
-    overhead_bits_total = rt.control_overhead(mode, topo, params, cfg.sim_duration_s, break_rate)
-    breakdown = capacity_breakdown(cfg, mode, topo)
-
-    offered = n * cfg.per_node_demand_bps
-    throughput = throughput_model(mode, breakdown.effective, offered, pdr, cfg.eta_optimization)
-
-    if mode == "sdn":
         backlog = float(ctl.simulate_queue(n, cfg.controller, derive_seed(seed, 4)).final_backlog)
-        cpu = res.utilization("cpu", n, cfg.resources)
-        mem = res.utilization("memory", n, cfg.resources)
-        net = res.utilization("network", n, cfg.resources)
-        sto = res.utilization("storage", n, cfg.resources)
+        usage = [res.utilization(kind, n, cfg.resources) for kind in res.RESOURCE_KINDS]
     else:
-        backlog = 0.0
-        cpu = mem = net = sto = 0.0
-
+        per_flow = [rt.latency_manet(params, h, cfg.latency_window_s, break_rate) for h in (hops or [1])]
+        latency_max = max(per_flow)
+        repair_ms = rt.update_time(params)
+        backlog, usage = 0.0, [0.0] * len(RESOURCE_COLUMNS)
+    pdr = pdr_model(break_rate, repair_ms) * routable_fraction
+    breakdown = capacity_breakdown(cfg, mode, topo)
+    throughput = throughput_model(mode, breakdown.effective, n * cfg.per_node_demand_bps, pdr,
+                                  cfg.eta_optimization)
     return MetricsReport(
         n=n,
         mode=mode,
-        latency_avg_ms=latency_avg,
+        latency_avg_ms=sum(per_flow) / len(per_flow),
         latency_max_ms=latency_max,
         throughput_bps=throughput,
         pdr=pdr,
-        control_overhead_bits=overhead_bits_total,
+        control_overhead_bits=rt.control_overhead(mode, topo, params, cfg.sim_duration_s, break_rate),
         queue_backlog=backlog,
         effective_capacity_bps=breakdown.effective,
-        cpu_pct=cpu,
-        mem_pct=mem,
-        net_pct=net,
-        storage_pct=sto,
+        **dict(zip(RESOURCE_COLUMNS, usage)),
         saturated=breakdown.saturated,
     )
 
@@ -348,28 +336,21 @@ def compare(
     costs: econ.CostParams,
     reference_n: int = 50,
 ) -> ComparisonReport:
-    """Reduce paired sweep output to SDN-versus-traditional ratios.
-
-    The capex reduction compares SDN hardware spending (nodes plus
-    controller) against traditional hardware spending alone, matching how
-    the cost model attributes software to the controller.
-    """
+    """Reduce paired sweep output to SDN-versus-traditional ratios."""
     if not pairs:
         raise ValueError("sweep output must be non-empty")
-    rows = []
-    for trad, sdn in pairs:
-        n = trad.n
-        hw_traditional = n * costs.node_hw_traditional
-        rows.append(ComparisonRow(
-            n=n,
-            capex_reduction=1.0 - _ratio(econ.capex_sdn(n, costs), hw_traditional),
-            opex_reduction=1.0 - _ratio(econ.opex_sdn(n, costs), econ.opex_traditional(n, costs)),
+    rows = [
+        ComparisonRow(
+            trad.n,
+            *econ.cost_reductions(trad.n, costs),
             latency_reduction=1.0 - _ratio(sdn.latency_avg_ms, trad.latency_avg_ms),
             throughput_gain=_ratio(sdn.throughput_bps, trad.throughput_bps),
             pdr_delta=sdn.pdr - trad.pdr,
             overhead_ratio=_ratio(sdn.control_overhead_bits, trad.control_overhead_bits),
             capacity_ratio=_ratio(sdn.effective_capacity_bps, trad.effective_capacity_bps),
-        ))
+        )
+        for trad, sdn in pairs
+    ]
     headline = next((row for row in rows if row.n == reference_n), None)
     if headline is None:
         raise ValueError(f"reference_n={reference_n} is not a sweep point")

@@ -149,6 +149,23 @@ def test_cost_table_reference_values(small_cfg, capsys):
     assert rows["crossover_n"] == "14"
 
 
+@pytest.mark.parametrize("zeroed, row", [
+    (["costs.node_hw_traditional"], "hardware_capex_reduction"),
+    (["costs.node_maint_traditional", "costs.node_monitor_traditional",
+      "costs.node_config_traditional"], "opex_reduction"),
+], ids=["hardware", "opex"])
+def test_cost_reduction_over_a_zero_traditional_cost_is_nan(zeroed, row, tmp_path, capsys):
+    # A free traditional network leaves the reduction undefined, as the
+    # sweep's comparison.csv has it, rather than a division error.
+    path = tmp_path / "free.cfg"
+    path.write_text("".join(f"{key} = 0\n" for key in zeroed), encoding="utf-8")
+    assert main(["cost", str(path), "--n", "50", "--quiet"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.split("\r\n") if line)
+    assert rows[row] == "nan"
+    other = {"hardware_capex_reduction", "opex_reduction"} - {row}
+    assert math.isfinite(float(rows[other.pop()]))
+
+
 # ----------------------------------------------------------------- capacity
 
 def test_capacity_breakdown_rows(small_cfg, capsys):

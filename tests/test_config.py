@@ -67,6 +67,8 @@ def test_unknown_key_rejected_with_line_number(tmp_path):
 def test_type_mismatch_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"not a valid int"):
         parse_config(write(tmp_path, "seeds_per_point = 2.5\n"))
+    with pytest.raises(ConfigError, match=r"value '1e3' for key 'seed' is not a valid int"):
+        parse_config(write(tmp_path, "seed = 1e3\n"))
     with pytest.raises(ConfigError, match=r"not a valid float"):
         parse_config(write(tmp_path, "sim_duration_s = fast\n"))
 
@@ -170,6 +172,8 @@ def test_reference_cfg_lists_every_key_at_its_default(tmp_path):
     text = REFERENCE_CFG.read_text(encoding="utf-8")
     keys = re.findall(r"^# ([\w.]+) = ", text, re.M)
     assert sorted(keys) == sorted(_REGISTRY)
+    # The parser converts with the field's type; a bool would read "false" as True.
+    assert all(kind in (int, float) for _, _, kind in _REGISTRY.values())
     uncommented = re.sub(r"^# ([\w.]+ = )", r"\1", text, flags=re.M)
     assert parse_config(write(tmp_path, uncommented)) == ScenarioConfig()
 

@@ -16,6 +16,7 @@ from sdnmanet.econ import (
     allocation_cost,
     capex_sdn,
     capex_traditional,
+    cost_reductions,
     crossover_n,
     opex_sdn,
     opex_traditional,
@@ -125,6 +126,17 @@ def test_opex_sdn_small():
 def test_opex_sdn_slope_is_node_maint():
     params = CostParams()
     assert opex_sdn(101, params) - opex_sdn(100, params) == params.node_maint_sdn
+
+
+# --------------------------------------------------------------- reductions
+
+def test_cost_reductions_over_a_zero_traditional_cost_are_nan():
+    hardware, opex = cost_reductions(50, CostParams(node_hw_traditional=0.0))
+    assert math.isnan(hardware) and opex == pytest.approx(0.30)
+    free_ops = CostParams(node_maint_traditional=0.0, node_monitor_traditional=0.0,
+                          node_config_traditional=0.0)
+    hardware, opex = cost_reductions(50, free_ops)
+    assert hardware == pytest.approx(0.25) and math.isnan(opex)
 
 
 def test_ranking_invariant_under_currency_rescale():
