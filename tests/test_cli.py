@@ -187,16 +187,21 @@ def test_capacity_at_large_n_matches_golden(capsys):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "capacity_n1000.csv").read_bytes()
 
 
-@pytest.mark.parametrize("golden, command", [
-    ("cost_n50.csv", ["cost", "--n", "50"]),
-    ("resources.csv", ["resources"]),
-    ("simulate_n170_traditional.csv", ["simulate", "--n", "170", "--mode", "traditional"]),
-    ("simulate_n170_sdn.csv", ["simulate", "--n", "170", "--mode", "sdn"]),
-])
-def test_stdout_matches_golden(golden, command, capsys):
-    # The cost table, the utilization curves over the sweep range, and one
-    # run per mode at a size where the SDN controller queue saturates.
-    assert main([command[0], REFERENCE_CFG, *command[1:], "--quiet"]) == 0
+# Golden file -> subcommand and flags, on the reference config: the cost
+# table, the utilization curves over the sweep range, and one run per mode at
+# n = 170, the size of the acceptance suite's controller-backlog check.
+STDOUT_GOLDENS = {
+    "cost_n50.csv": ["cost", "--n", "50"],
+    "resources.csv": ["resources"],
+    "simulate_n170_traditional.csv": ["simulate", "--n", "170", "--mode", "traditional"],
+    "simulate_n170_sdn.csv": ["simulate", "--n", "170", "--mode", "sdn"],
+}
+
+
+@pytest.mark.parametrize("golden", list(STDOUT_GOLDENS))
+def test_stdout_matches_golden(golden, capsys):
+    command, *flags = STDOUT_GOLDENS[golden]
+    assert main([command, REFERENCE_CFG, *flags, "--quiet"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
