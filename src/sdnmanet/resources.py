@@ -34,26 +34,15 @@ class ResourceCurveParams:
     def __post_init__(self) -> None:
         _check_fields(self, positive=self.__dataclass_fields__)
 
-    def alpha(self, kind: str) -> float:
-        _check_kind(kind)
-        return getattr(self, f"{kind}_alpha")
-
-    def saturation_n(self, kind: str) -> float:
-        _check_kind(kind)
-        return getattr(self, f"{kind}_saturation_n")
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in RESOURCE_KINDS:
-        raise ValueError(f"unknown resource kind {kind!r}, expected one of {RESOURCE_KINDS}")
-
 
 def utilization(kind: str, n: int, params: ResourceCurveParams) -> float:
     """Utilization percentage of one resource at ``n`` nodes, capped at 100."""
     if n < 0:
         raise ValueError("node count must be non-negative")
-    ratio = n / params.saturation_n(kind)
-    return min(100.0, 100.0 * ratio ** params.alpha(kind))
+    if kind not in RESOURCE_KINDS:
+        raise ValueError(f"unknown resource kind {kind!r}, expected one of {RESOURCE_KINDS}")
+    ratio = n / getattr(params, f"{kind}_saturation_n")
+    return min(100.0, 100.0 * ratio ** getattr(params, f"{kind}_alpha"))
 
 
 def first_bottleneck(params: ResourceCurveParams, n_max: int) -> tuple[str, int] | None:

@@ -334,7 +334,7 @@ def _ratio(numerator: float, denominator: float) -> float:
 def compare(
     pairs: list[tuple[MetricsReport, MetricsReport]],
     costs: econ.CostParams,
-    reference_n: int = 50,
+    reference_n: int,
 ) -> ComparisonReport:
     """Reduce paired sweep output to SDN-versus-traditional ratios."""
     if not pairs:

@@ -34,43 +34,6 @@ class NodeState(NamedTuple):
     waypoint: tuple[float, float]  # meters
 
 
-class _Walked(str):
-    """A moving column's descriptor, named by the string. A stepped topology holds
-    in ``_pending`` the last walked topology, then the steps since; its first read
-    of a moving column takes each node, in index order, through every step with
-    one step's float operations, clamps and draws, and stores all three columns.
-    Step k's generator starts at its first arrival and serves its arrivals in node order."""
-
-    def __get__(self, t: Topology | None, owner: type) -> object:
-        if t is None:  # no value on the class, so the dataclass field has no default
-            raise AttributeError(self)
-        (base, *steps), (width, height) = t._pending, t.area
-        hypot, draws, walked = math.hypot, [None] * len(steps), []
-        for (px, py), (vx, vy), (wx, wy) in zip(base.positions, base.velocities, base.waypoints):
-            leg_dt = 0.0  # no step has dt == 0.0, so the first step sets the leg's constants
-            for k, (dt, lo, hi, seed) in enumerate(steps):
-                if dt != leg_dt:  # a new leg or a new dt: a leg's reach and moves per step
-                    leg_dt, reach, dx, dy = dt, hypot(vx, vy) * dt, vx * dt, vy * dt
-                if reach >= hypot(px - wx, py - wy):  # arrived: land on the waypoint, pick the next leg
-                    px, py, leg_dt = wx, wy, 0.0
-                    draw = draws[k] = draws[k] or random.Random(seed).random
-                    wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
-                    speed = lo + (hi - lo) * draw() if hi > lo else lo
-                    leg = hypot(px - wx, py - wy)
-                    vx, vy = (((wx - px) / leg * speed, (wy - py) / leg * speed)
-                              if speed > 0.0 and leg > 0.0 else (0.0, 0.0))
-                else:
-                    px, py = px + dx, py + dy
-                # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
-                px = 0.0 if px < 0.0 else px
-                px = width if px > width else px
-                py = 0.0 if py < 0.0 else py
-                py = height if py > height else py
-            walked.append(((px, py), (vx, vy), (wx, wy)))
-        vars(t).update(zip(_MOVING, tuple(zip(*walked)) or ((), (), ())), _pending=None)
-        return vars(t)[self]
-
-
 @dataclass(frozen=True)
 class Topology:
     """Undirected graph over mobile nodes.
@@ -80,18 +43,16 @@ class Topology:
     checked and indexed once at construction; mobility moves the nodes and
     keeps the edges. The fields are frozen and every column is a tuple (a list
     passed in is copied), so the index can never describe another graph. A
-    stepped topology computes its moving columns on first read (``_Walked``).
+    stepped topology computes its moving columns on first read (``__getattr__``).
     """
 
-    positions: tuple[tuple[float, float], ...] = _Walked("positions")    # meters
-    velocities: tuple[tuple[float, float], ...] = _Walked("velocities")  # m/s, each points at its waypoint
-    capacities_bps: tuple[float, ...]                                    # bits/second
-    waypoints: tuple[tuple[float, float], ...] = _Walked("waypoints")    # meters
+    positions: tuple[tuple[float, float], ...]    # meters
+    velocities: tuple[tuple[float, float], ...]   # m/s, each points at its waypoint
+    capacities_bps: tuple[float, ...]             # bits/second
+    waypoints: tuple[tuple[float, float], ...]    # meters
     edges: tuple[tuple[int, int], ...]
     area: tuple[float, float] = (1000.0, 1000.0)
-    _adjacency: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
     _degree: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
@@ -117,8 +78,46 @@ class Topology:
         for a, b in edges:
             neighbors[a].append(b)
             neighbors[b].append(a)
-        object.__setattr__(self, "_adjacency", dict(enumerate(map(tuple, map(sorted, neighbors)))))
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, map(sorted, neighbors))))
         object.__setattr__(self, "_degree", tuple(map(len, neighbors)))
+
+    def __getattr__(self, name: str) -> object:
+        """A stepped topology's moving column. The first read follows the ``_pending``
+        links, each a (parent, step) pair, back to the nearest walked topology, takes
+        each node, in index order, through every step since with one step's float
+        operations, clamps and draws, and stores all three columns. Step k's
+        generator starts at its first arrival and serves its arrivals in node order."""
+        if name not in _MOVING or not vars(self).get("_pending"):
+            raise AttributeError(name)
+        base, steps = self, []
+        while pending := vars(base).get("_pending"):
+            base, step = pending
+            steps.append(step)
+        (width, height), hypot, walked = self.area, math.hypot, []
+        steps, draws = steps[::-1], [None] * len(steps)  # oldest step first
+        for (px, py), (vx, vy), (wx, wy) in zip(base.positions, base.velocities, base.waypoints):
+            leg_dt = 0.0  # no step has dt == 0.0, so the first step sets the leg's constants
+            for k, (dt, lo, hi, seed) in enumerate(steps):
+                if dt != leg_dt:  # a new leg or a new dt: a leg's reach and moves per step
+                    leg_dt, reach, dx, dy = dt, hypot(vx, vy) * dt, vx * dt, vy * dt
+                if reach >= hypot(px - wx, py - wy):  # arrived: land on the waypoint, pick the next leg
+                    px, py, leg_dt = wx, wy, 0.0
+                    draw = draws[k] = draws[k] or random.Random(seed).random
+                    wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
+                    speed = lo + (hi - lo) * draw() if hi > lo else lo
+                    leg = hypot(px - wx, py - wy)
+                    vx, vy = (((wx - px) / leg * speed, (wy - py) / leg * speed)
+                              if speed > 0.0 and leg > 0.0 else (0.0, 0.0))
+                else:
+                    px, py = px + dx, py + dy
+                # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
+                px = 0.0 if px < 0.0 else px
+                px = width if px > width else px
+                py = 0.0 if py < 0.0 else py
+                py = height if py > height else py
+            walked.append(((px, py), (vx, vy), (wx, wy)))
+        vars(self).update(zip(_MOVING, tuple(zip(*walked)) or ((), (), ())), _pending=None)
+        return vars(self)[name]
 
     @property
     def nodes(self) -> tuple[NodeState, ...]:
@@ -130,10 +129,6 @@ class Topology:
         """Edge lengths in meters at the current positions, floored."""
         pos, dist = self.positions, math.dist
         return {(a, b): max(dist(pos[a], pos[b]), _MIN_EDGE_WEIGHT) for a, b in self.edges}
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        _check_node(self, i)
-        return self._adjacency[i]
 
 
 def _check_node(t: Topology, i: int) -> None:
@@ -207,7 +202,7 @@ def step_mobility(
         raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
     stepped = object.__new__(Topology)  # t's edges and index, unchecked: mobility keeps them
     vars(stepped).update({k: v for k, v in vars(t).items() if k not in _MOVING},
-                         _pending=(vars(t).get("_pending") or (t,)) + ((dt, lo, hi, seed),))
+                         _pending=(t, (dt, lo, hi, seed)))
     return stepped
 
 
@@ -235,7 +230,8 @@ def shortest_path(t: Topology, src: int, dst: int) -> tuple[list[int], int]:
     and a backward-settled suffix. ``db`` is extended over those prefixes, and
     a walk from ``src`` takes the smallest tight neighbour. Keys never fall and
     ``mu`` never rises, so a node is queued only if its cost plus the other
-    side's key is within ``mu``: any other never settles.
+    side's key is within ``mu``: any other never settles. A forward entry adds the
+    degree, at least 1, of the node it enters, so ``df[v]`` is set once and never stale.
     """
     _check_node(t, src)
     _check_node(t, dst)
@@ -248,8 +244,6 @@ def shortest_path(t: Topology, src: int, dst: int) -> tuple[list[int], int]:
     while queue_f and queue_b and cf + cb <= mu:
         if cf <= cb:
             for u in queue_f.pop(cf):
-                if df[u] != cf:  # stale: u settled cheaper
-                    continue
                 settled_f.append(u)
                 for v in adjacency[u]:
                     cv = cf + entry[v]
@@ -263,7 +257,7 @@ def shortest_path(t: Topology, src: int, dst: int) -> tuple[list[int], int]:
                 pass
         else:
             for u in queue_b.pop(cb):
-                if db[u] != cb:
+                if db[u] != cb:  # stale: u settled cheaper
                     continue
                 cv = cb + entry[u]
                 for v in adjacency[u]:

@@ -28,11 +28,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sdnmanet.cli import main  # noqa: E402
 
-#: Golden file -> subcommand and flags whose stdout it holds.
+#: Golden file -> subcommand and flags whose stdout it holds, on the reference config.
 STDOUT = {
+    # The overhead column sums over every post-mobility edge length of a
+    # 1000-node world, a size the golden sweep (n <= 200) never reaches.
     "capacity_n1000.csv": ["capacity", "--n", "1000"],
-    "cost_n50.csv": ["cost", "--n", "50"],
-    "resources.csv": ["resources"],
+    "cost_n50.csv": ["cost", "--n", "50"],  # the cost table
+    "resources.csv": ["resources"],  # the utilization curves over the sweep range
+    # One run per mode at n = 170, the size of the acceptance suite's
+    # controller-backlog check.
     "simulate_n170_traditional.csv": ["simulate", "--n", "170", "--mode", "traditional"],
     "simulate_n170_sdn.csv": ["simulate", "--n", "170", "--mode", "sdn"],
 }

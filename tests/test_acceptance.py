@@ -25,6 +25,7 @@ from sdnmanet.simulator import ScenarioConfig, compare, sweep
 from sdnmanet.topology import NoRouteError, generate_erdos_renyi
 
 from test_econ import closed_form_crossover
+from test_simulator import r_squared
 from test_topology import brute_force_min_cost
 
 #: The reference sweep's outputs (calibrated defaults, seed 42): both CSV
@@ -36,18 +37,6 @@ GOLDEN = Path(__file__).parent / "golden"
 def default_sweep():
     cfg = ScenarioConfig()
     return cfg, sweep(cfg)
-
-
-def r_squared(xs, ys):
-    n = len(xs)
-    mean_x, mean_y = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    return 1.0 - ss_res / ss_tot
 
 
 def test_criterion_01_controller_backlog_fluid_and_simulated():

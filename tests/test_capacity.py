@@ -285,13 +285,6 @@ def test_supported_nodes_rejects_bad_inputs():
         max_supported_nodes("mesh", 1.0, OverheadParams(), _generator(), 5.5)
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(OverheadParams)])
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_overhead_params_reject_non_finite_values(name, bad):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        OverheadParams(**{name: bad})
-
-
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CapacityGains)])
 @pytest.mark.parametrize("bad, message", [
     (math.nan, "must be finite"), (math.inf, "must be finite"), (-0.5, "must be"),

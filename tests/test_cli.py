@@ -10,6 +10,8 @@ from sdnmanet.cli import main
 from sdnmanet.controller import ControllerConfig, fluid_backlog
 from sdnmanet.report import METRICS_COLUMNS, format_value, parse_metrics_csv
 
+from golden import regen
+
 REFERENCE_CFG = str(Path(__file__).parent.parent / "scenarios" / "reference.cfg")
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,27 +182,9 @@ def test_capacity_breakdown_rows(small_cfg, capsys):
     assert float(sdn[4]) > float(trad[4])
 
 
-def test_capacity_at_large_n_matches_golden(capsys):
-    # The overhead column sums over every post-mobility edge length of a
-    # 1000-node world, a size the golden sweep (n <= 200) never reaches.
-    assert main(["capacity", REFERENCE_CFG, "--n", "1000", "--quiet"]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "capacity_n1000.csv").read_bytes()
-
-
-# Golden file -> subcommand and flags, on the reference config: the cost
-# table, the utilization curves over the sweep range, and one run per mode at
-# n = 170, the size of the acceptance suite's controller-backlog check.
-STDOUT_GOLDENS = {
-    "cost_n50.csv": ["cost", "--n", "50"],
-    "resources.csv": ["resources"],
-    "simulate_n170_traditional.csv": ["simulate", "--n", "170", "--mode", "traditional"],
-    "simulate_n170_sdn.csv": ["simulate", "--n", "170", "--mode", "sdn"],
-}
-
-
-@pytest.mark.parametrize("golden", list(STDOUT_GOLDENS))
+@pytest.mark.parametrize("golden", list(regen.STDOUT))
 def test_stdout_matches_golden(golden, capsys):
-    command, *flags = STDOUT_GOLDENS[golden]
+    command, *flags = regen.STDOUT[golden]
     assert main([command, REFERENCE_CFG, *flags, "--quiet"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 

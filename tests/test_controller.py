@@ -17,19 +17,7 @@ from sdnmanet.controller import (
     simulate_queue,
 )
 
-
-def r_squared(xs, ys):
-    """Least-squares linear fit quality, computed from scratch."""
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    return 1.0 - ss_res / ss_tot
+from test_simulator import r_squared
 
 
 # ------------------------------------------------------------- fluid backlog

@@ -92,7 +92,7 @@ def test_first_bottleneck_follows_smallest_saturation():
         assert result is not None
         kind, n = result
         smallest = min(sats)
-        assert params.saturation_n(kind) == float(smallest)
+        assert getattr(params, f"{kind}_saturation_n") == float(smallest)
         assert n == smallest
 
 

@@ -101,11 +101,11 @@ def test_sdn_path_cost_never_beaten_by_any_simple_path():
             if node == dst:
                 seen_path = path
                 break
-            for nxt in t.neighbors(node):
+            for nxt in t._adjacency[node]:
                 if nxt not in path:
                     stack.append((nxt, path + (nxt,)))
         assert seen_path is not None
-        arbitrary = sum(w[i] * len(t.neighbors(i)) for i in seen_path)
+        arbitrary = sum(w[i] * len(t._adjacency[i]) for i in seen_path)
         assert best <= arbitrary + 1e-9
 
 

@@ -40,6 +40,7 @@ def small_config(**overrides) -> ScenarioConfig:
 
 
 def r_squared(xs, ys):
+    """Least-squares linear fit quality, computed from scratch."""
     n = len(xs)
     mean_x, mean_y = sum(xs) / n, sum(ys) / n
     sxx = sum((x - mean_x) ** 2 for x in xs)

@@ -1,11 +1,12 @@
-"""Every public top-level function and class of the package has a user, and
-every defaulted parameter of a public function has a caller that sets it.
+"""Every public top-level function and class of the package has a user, every
+public method and property of a public class is read, and every defaulted
+parameter of a public function has a caller that sets it.
 
 A name counts as used when it is read as a ``Name``, an ``Attribute`` or an
 import alias somewhere in ``src/sdnmanet``, in a non-test ``bench/*.py``, or
-in ``tests/test_acceptance.py``. A parameter counts as set when a call there
-passes it by keyword or by position. Unit tests alone do not keep a name or
-a knob alive.
+in ``tests/test_acceptance.py``; a method or property, when it is read there
+as an ``Attribute``. A parameter counts as set when a call there passes it by
+keyword or by position. Unit tests alone do not keep a name or a knob alive.
 """
 
 import ast
@@ -48,6 +49,16 @@ def test_every_public_function_and_class_has_a_user():
     used = referenced_names()
     unused = [qualified for qualified, node in public_nodes() if node.name not in used]
     assert unused == []
+
+
+def test_every_public_method_and_property_of_a_public_class_is_read():
+    read = {node.attr for tree in user_trees() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [f"{qualified}.{item.name}"
+              for qualified, node in public_nodes() if isinstance(node, ast.ClassDef)
+              for item in node.body
+              if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not item.name.startswith("_") and item.name not in read]
+    assert unread == []
 
 
 def sets(call, name, index):
