@@ -213,7 +213,27 @@ def distance(t: Topology, a: int, b: int) -> float:
     return math.dist(t.positions[a], t.positions[b])
 
 
-def shortest_path(t: Topology, src: int, dst: int) -> tuple[list[int], int]:
+def route_costs(t: Topology, dst: int) -> list:
+    """``shortest_path``'s ``db`` on every node (``inf`` off ``dst``'s component): a whole backward search."""
+    _check_node(t, dst)
+    adjacency, entry = t._adjacency, t._degree
+    db, cb, queue_b = [math.inf] * len(entry), 0, {0: [dst]}
+    db[dst] = 0
+    while queue_b:
+        for u in queue_b.pop(cb):
+            if db[u] != cb:  # stale: u settled cheaper
+                continue
+            cv = cb + entry[u]
+            for v in adjacency[u]:
+                if cv < db[v]:
+                    db[v] = cv
+                    queue_b.setdefault(cv, []).append(v)
+        while queue_b and (cb := cb + 1) not in queue_b:
+            pass
+    return db
+
+
+def shortest_path(t: Topology, src: int, dst: int, costs_to_dst: list | None = None) -> tuple[list[int], int]:
     """Minimum-cost route where every node on it costs its degree, endpoints included.
 
     The cost is the ``int`` sum of the degrees along the route; ties break
@@ -232,43 +252,49 @@ def shortest_path(t: Topology, src: int, dst: int) -> tuple[list[int], int]:
     ``mu`` never rises, so a node is queued only if its cost plus the other
     side's key is within ``mu``: any other never settles. A forward entry adds the
     degree, at least 1, of the node it enters, so ``df[v]`` is set once and never stale.
+    ``costs_to_dst = route_costs(t, dst)`` replaces the search (``ValueError`` if not n long or 0 at ``dst``).
     """
     _check_node(t, src)
     _check_node(t, dst)
     adjacency, entry = t._adjacency, t._degree
     n, inf = len(entry), math.inf
-    df, db = [inf] * n, [inf] * n
-    cf, cb = df[src], db[dst] = entry[src], 0
-    mu = cf if src == dst else inf
-    queue_f, queue_b, settled_f = {cf: [src]}, {cb: [dst]}, []
-    while queue_f and queue_b and cf + cb <= mu:
-        if cf <= cb:
-            for u in queue_f.pop(cf):
-                settled_f.append(u)
-                for v in adjacency[u]:
-                    cv = cf + entry[v]
-                    if cv < df[v]:
-                        df[v] = cv
-                        if cv + db[v] < mu:
-                            mu = cv + db[v]
-                        if cv + cb <= mu:
-                            queue_f.setdefault(cv, []).append(v)
-            while queue_f and (cf := cf + 1) not in queue_f:  # on to the next key
-                pass
-        else:
-            for u in queue_b.pop(cb):
-                if db[u] != cb:  # stale: u settled cheaper
-                    continue
-                cv = cb + entry[u]
-                for v in adjacency[u]:
-                    if cv < db[v]:
-                        db[v] = cv
-                        if df[v] + cv < mu:
-                            mu = df[v] + cv
-                        if cf + cv <= mu:
-                            queue_b.setdefault(cv, []).append(v)
-            while queue_b and (cb := cb + 1) not in queue_b:
-                pass
+    if costs_to_dst is not None:
+        if len(costs_to_dst) != n or costs_to_dst[dst] != 0:
+            raise ValueError(f"costs_to_dst is not route_costs(t, {dst}) of this {n}-node topology")
+        db, mu, settled_f = costs_to_dst, entry[src] + costs_to_dst[src], ()
+    else:
+        df, db = [inf] * n, [inf] * n
+        cf, cb = df[src], db[dst] = entry[src], 0
+        mu = cf if src == dst else inf
+        queue_f, queue_b, settled_f = {cf: [src]}, {cb: [dst]}, []
+        while queue_f and queue_b and cf + cb <= mu:
+            if cf <= cb:
+                for u in queue_f.pop(cf):
+                    settled_f.append(u)
+                    for v in adjacency[u]:
+                        cv = cf + entry[v]
+                        if cv < df[v]:
+                            df[v] = cv
+                            if cv + db[v] < mu:
+                                mu = cv + db[v]
+                            if cv + cb <= mu:
+                                queue_f.setdefault(cv, []).append(v)
+                while queue_f and (cf := cf + 1) not in queue_f:  # on to the next key
+                    pass
+            else:
+                for u in queue_b.pop(cb):
+                    if db[u] != cb:  # stale: u settled cheaper
+                        continue
+                    cv = cb + entry[u]
+                    for v in adjacency[u]:
+                        if cv < db[v]:
+                            db[v] = cv
+                            if df[v] + cv < mu:
+                                mu = df[v] + cv
+                            if cf + cv <= mu:
+                                queue_b.setdefault(cv, []).append(v)
+                while queue_b and (cb := cb + 1) not in queue_b:
+                    pass
     if mu == inf:
         raise NoRouteError(f"no route from {src} to {dst}")
     for u in reversed(settled_f):  # latest first: a prefix node's successors come before it

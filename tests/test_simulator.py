@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnmanet import controller as ctl
+from sdnmanet import simulator
 from sdnmanet.controller import fluid_backlog
 from sdnmanet.config import _REGISTRY
 from sdnmanet.econ import CostParams
@@ -26,7 +27,7 @@ from sdnmanet.simulator import (
     sweep,
     throughput_model,
 )
-from sdnmanet.topology import NoRouteError, generate_erdos_renyi
+from sdnmanet.topology import NoRouteError, generate_erdos_renyi, route_costs
 
 from test_topology import heap_of_paths_shortest_path
 
@@ -298,14 +299,24 @@ def test_config_validation_names_field_paths():
 
 # ------------------------------------------------------------------ hop sampling
 
-@pytest.mark.parametrize("n", [50, 200])
-def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n):
-    # Shaped like the flow_heavy workload's end points: sparse, 1000 flows.
-    cfg = small_config(flow_samples=1000)
+@pytest.mark.parametrize("n, flows", [
+    # Shaped like the flow_heavy workload's end points: sparse, 1000 flows, so
+    # most destinations are shared by enough flows to be routed off one tree.
+    pytest.param(50, 1000, id="50"),
+    pytest.param(200, 1000, id="200"),
+    # The reference config's 30 flows: no destination draws a third flow, so
+    # every flow runs its own search.
+    pytest.param(50, 30, id="50-30-flows"),
+    pytest.param(200, 30, id="200-30-flows"),
+])
+def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n, flows, monkeypatch):
+    trees = []
+    monkeypatch.setattr(simulator, "route_costs", lambda t, dst: trees.append(dst) or route_costs(t, dst))
+    cfg = small_config(flow_samples=flows)
     topo = generate_erdos_renyi(n, 0.03, seed=11)
     hops, total = _sample_hops(cfg, topo, 5)
     rng, unit, expected = random.Random(5), {i: 1 for i in range(n)}, []
-    for _ in range(1000):
+    for _ in range(flows):
         src = rand_index(rng, n)
         dst = rand_index(rng, n - 1)
         dst += dst >= src
@@ -313,9 +324,9 @@ def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n):
             expected.append(len(heap_of_paths_shortest_path(topo, src, dst, unit)[0]) - 1)
         except NoRouteError:
             pass
-    assert total == 1000 and hops == expected
+    assert total == flows and hops == expected
     assert max(hops) > 2
-
+    assert (len(trees) > 0) == (flows == 1000) and len(trees) == len(set(trees))
 
 
 def component_roots(n, edges):

@@ -21,6 +21,7 @@ from sdnmanet.topology import (
     Topology,
     distance,
     generate_erdos_renyi,
+    route_costs,
     shortest_path,
     step_mobility,
 )
@@ -1085,6 +1086,37 @@ def test_bucket_search_matches_the_heap_search(case, src):
         for d in range(n):  # s itself, and the isolated node whenever there is one
             expected = route_cost_and_type_or_error(heap_bidirectional_search, adjacency, entry, s, d)
             assert route_cost_and_type_or_error(shortest_path, t, s, d) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=search_graphs(), srcs=st.lists(st.integers(0, 2**16), max_size=4))
+def test_route_costs_route_every_flow_as_the_search_does(case, srcs):
+    # Every pair up to 41 nodes (dense, star and cycle cases, and small sparse ones);
+    # above that every destination, with the drawn sources, itself and node n - 1,
+    # isolated when the case added one (entry 0: a route to it from itself costs 0).
+    n, edges = case
+    t = graph(n, edges)
+    adjacency = {i: t._adjacency[i] for i in range(n)}
+    entry = [len(adjacency[i]) for i in range(n)]
+    for d in range(n):
+        tree = route_costs(t, d)
+        assert len(tree) == n and tree[d] == 0
+        for s in range(n) if n <= 41 else {d, n - 1, *(x % n for x in srcs)}:
+            searched = route_cost_and_type_or_error(shortest_path, t, s, d)
+            assert route_cost_and_type_or_error(shortest_path, t, s, d, tree) == searched
+            expected = route_cost_and_type_or_error(heap_bidirectional_search, adjacency, entry, s, d)
+            assert searched == expected
+            assert tree[s] == (math.inf if expected[0] == "NoRouteError" else expected[1] - entry[s])
+
+
+def test_route_costs_of_another_graph_or_destination_are_rejected():
+    t = line_topology()  # 0 - 1 - 2
+    assert route_costs(t, 2) == [3, 1, 0]  # node 0 pays node 1's degree 2 and node 2's 1
+    assert shortest_path(t, 0, 2, route_costs(t, 2)) == ([0, 1, 2], 4)
+    with pytest.raises(ValueError, match=r"not route_costs\(t, 2\) of this 3-node topology"):
+        shortest_path(t, 0, 2, route_costs(graph(4, [(0, 1), (1, 2)]), 2))  # one node too many
+    with pytest.raises(ValueError, match=r"not route_costs\(t, 2\) of this 3-node topology"):
+        shortest_path(t, 0, 2, route_costs(t, 1))  # the tree to node 1
 
 
 @settings(max_examples=200, deadline=None)
