@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ._checks import _check_fields
 
-#: Largest node count ``crossover_n`` scans.
+#: Largest break-even node count ``crossover_n`` reports.
 CROSSOVER_MAX_N = 1_000_000
 
 
@@ -124,41 +124,34 @@ def _reduction(sdn: float, traditional: float) -> float:
 
 
 def crossover_n(params: CostParams) -> int | None:
-    """Smallest node count at which total SDN cost stops exceeding the
-    traditional total (capex + opex); ``None`` when it never does within
-    ``CROSSOVER_MAX_N`` nodes.
+    """Exact break-even of the model: the smallest node count n >= 1 at
+    which total SDN cost (capex + opex) is at most the traditional total;
+    ``None`` when no n up to ``CROSSOVER_MAX_N`` qualifies.
 
-    Scans the linear totals upward rather than solving the break-even
-    equation, so the answer is the first n at which the computed totals
-    cross, which a rounded quotient could miss by one. The scan starts just
-    below ``fixed / saving``, where no earlier n can cross.
+    The four cost functions only add and multiply, so on a copy of
+    ``params`` held as fractions they return exact totals, and their gap
+    is linear in n. When the per-node saving is a few units in the last
+    place, the float totals printed at the answer can still show SDN dearer
+    by rounding.
     """
-    per_node_trad = (
-        params.node_hw_traditional + params.node_sw_traditional
-        + params.node_maint_traditional + params.node_monitor_traditional
-        + params.node_config_traditional
-    )
-    per_node_sdn = params.node_hw_sdn + params.node_maint_sdn
-    fixed_sdn = (
-        params.controller_capex + params.controller_maint
-        + params.controller_config + params.controller_monitor
-    )
-    if per_node_sdn >= per_node_trad:
-        # No per-node saving: either SDN already wins at n=1 or never will.
-        return 1 if per_node_sdn + fixed_sdn <= per_node_trad else None
-    start = 1
-    if all(x == 0 or 2.0**-900 <= x <= 2.0**900 for x in (per_node_trad, per_node_sdn, fixed_sdn)):
-        # In exact arithmetic no n below fixed / saving crosses. The scan's
-        # three roundings, each at most 2**-53 of a result that the range
-        # check keeps clear of overflow and underflow, bring the first
-        # crossing down by less than the 2**-50 slack in this quotient does.
-        quotient = fixed_sdn * (1 - 2**-50) / (
-            per_node_trad - per_node_sdn + 2**-50 * (per_node_sdn + per_node_trad))
-        start = max(1, int(min(quotient, CROSSOVER_MAX_N + 1)))
-    for n in range(start, CROSSOVER_MAX_N + 1):
-        if n * per_node_sdn + fixed_sdn <= n * per_node_trad:
-            return n
-    return None
+    # Imported here, not at module level: fractions pulls in decimal, which
+    # every CLI run would pay for, while only ``sdnmanet cost`` calls this.
+    from fractions import Fraction
+
+    exact = CostParams(**{name: Fraction(getattr(params, name)) for name in params.__dataclass_fields__})
+
+    def gap(n: int) -> Fraction:
+        return (capex_sdn(n, exact) + opex_sdn(n, exact)
+                - capex_traditional(n, exact) - opex_traditional(n, exact))
+
+    first = gap(1)
+    if first <= 0:
+        return 1
+    slope = gap(2) - first
+    if slope >= 0:
+        return None
+    n = 1 + math.ceil(first / -slope)
+    return n if n <= CROSSOVER_MAX_N else None
 
 
 def allocation_cost(a: AllocationState) -> float:

@@ -183,6 +183,11 @@ def pdr_model(break_rate: float, repair_time_ms: float) -> float:
     return min(1.0, max(0.0, 1.0 - break_rate * repair_time_ms / 1000.0))
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def throughput_model(
     mode: str,
     effective_capacity: float,
@@ -193,6 +198,7 @@ def throughput_model(
     """Delivered bits/s: offered load capped by capacity, thinned by the
     delivery ratio; SDN mode additionally earns the optimization uplift,
     never exceeding the effective capacity."""
+    _check_mode(mode)
     if effective_capacity < 0 or offered_load < 0 or pdr < 0 or eta_opt < 0:
         raise ValueError("throughput inputs must be non-negative")
     delivered = min(offered_load, effective_capacity) * pdr
@@ -254,8 +260,7 @@ def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsRe
     cfg.validate()
     if n < 1:
         raise ValueError("node count must be at least 1")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
 
     topo = evolve_topology(cfg, n, seed)
     hops, flows_total = _sample_hops(cfg, topo, derive_seed(seed, 3))

@@ -139,7 +139,7 @@ def test_simulate_deterministic_per_seed(small_cfg, capsys):
 
 # --------------------------------------------------------------------- cost
 
-def test_cost_table_reference_values(small_cfg, capsys):
+def test_cost_table_reference_values(small_cfg, tmp_path, capsys):
     assert main(["cost", small_cfg, "--n", "50", "--quiet"]) == 0
     out = capsys.readouterr().out
     rows = dict(
@@ -149,6 +149,11 @@ def test_cost_table_reference_values(small_cfg, capsys):
     assert rows["opex_reduction"] == "0.3"
     assert rows["capex_sdn"] == "3750"
     assert rows["crossover_n"] == "14"
+    # With no per-node saving SDN never breaks even, and the row says so.
+    never = tmp_path / "never.cfg"
+    never.write_text("costs.node_hw_sdn = 130\ncosts.node_maint_sdn = 30\n", encoding="utf-8")
+    assert main(["cost", str(never), "--n", "50", "--quiet"]) == 0
+    assert "crossover_n,never\r\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("zeroed, row", [

@@ -102,6 +102,12 @@ def test_throughput_pdr_thins_delivery():
     assert throughput_model("traditional", 1000.0, 800.0, 0.5, 1.0) == 400.0
 
 
+def test_throughput_rejects_an_unknown_mode():
+    # "SDN" used to be priced as traditional: 5.0 where "sdn" gives 6.0.
+    with pytest.raises(ValueError, match=r"^mode must be one of \('traditional', 'sdn'\), got 'SDN'$"):
+        throughput_model("SDN", 10.0, 5.0, 1.0, 1.2)
+
+
 # ------------------------------------------------------------------ scenarios
 
 def test_traditional_run_has_no_controller_artifacts():
