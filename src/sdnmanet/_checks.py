@@ -1,9 +1,11 @@
-"""The field checks every settings group runs on itself."""
+"""The field checks every settings group runs on itself, and the one mode check."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+
+MODES = ("traditional", "sdn")
 
 
 class _FieldError(ValueError):
@@ -40,3 +42,8 @@ def _check_fields(obj, positive=(), non_negative=(), unit_interval=()) -> None:
     for name in unit_interval:
         if not 0.0 <= getattr(obj, name) <= 1.0:
             raise _FieldError((name,), "must be within [0, 1]")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

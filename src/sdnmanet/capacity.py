@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._checks import _check_fields
+from ._checks import _check_fields, _check_mode
 from .topology import Topology
 # Unused here, but bench/test_sweep_bench.py checks that its tracer wraps this binding.
 from .topology import distance  # noqa: F401
@@ -85,15 +85,17 @@ def effective_capacity(
     controller_capacity: float,
     window_s: float,
 ) -> CapacityBreakdown:
-    """Capacity breakdown of ``t`` in ``mode``, which the caller has checked.
+    """Capacity breakdown of ``t`` in ``mode``.
 
     The overhead rate is the pairwise packet count over ``window_s`` times
     ``packet_size_bits``, per second; traditional mode scales it by the
     flooding multiplier. It comes off the node capacity sum, plus the
     controller's capacity in SDN mode only, and the result is clamped at
     zero, with ``saturated`` set when the overhead exceeds the capacity.
-    Raises ``ValueError`` for a negative node or controller capacity or mean speed.
+    Raises ``ValueError`` for an unknown mode, or for a negative node or
+    controller capacity or mean speed.
     """
+    _check_mode(mode)
     if controller_capacity < 0 or mean_speed < 0 or any(c < 0 for c in t.capacities_bps):
         raise ValueError("capacities and mean speed must be non-negative")
     rate = pairwise_packet_count(t, mean_speed, params, window_s) * params.packet_size_bits / window_s
@@ -134,8 +136,7 @@ def max_supported_nodes(
     """
     if per_node_demand <= 0.0:
         raise ValueError("per-node demand must be positive")
-    if mode not in ("traditional", "sdn"):
-        raise ValueError(f"mode must be 'traditional' or 'sdn', got {mode!r}")
+    _check_mode(mode)
     for n in range(n_max, 0, -1):
         t = topology_generator(n)
         breakdown = effective_capacity(mode, t, mean_speed, params, controller_capacity, 1.0)

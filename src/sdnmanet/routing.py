@@ -11,7 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from ._checks import _check_fields
+from ._checks import _check_fields, _check_mode
 from .topology import NoRouteError, Topology, _check_node
 
 
@@ -130,6 +130,7 @@ def control_overhead(
     Traditional networks flood a rediscovery across all links per route
     break; an SDN controller exchanges a fixed per-node message stream.
     """
+    _check_mode(mode)
     if duration_s <= 0.0:
         raise ValueError("duration must be positive")
     if break_rate_per_s < 0:
@@ -137,7 +138,4 @@ def control_overhead(
     if mode == "traditional":
         discoveries = break_rate_per_s * duration_s
         return discoveries * p.discovery_flood_factor * len(t.edges) * p.control_msg_bits
-    if mode == "sdn":
-        n = len(t.capacities_bps)
-        return p.sdn_update_rate_per_node_s * n * duration_s * p.control_msg_bits
-    raise ValueError(f"mode must be 'traditional' or 'sdn', got {mode!r}")
+    return p.sdn_update_rate_per_node_s * len(t._degree) * duration_s * p.control_msg_bits

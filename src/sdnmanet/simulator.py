@@ -25,11 +25,10 @@ from . import controller as ctl
 from . import econ
 from . import resources as res
 from . import routing as rt
-from ._checks import _FieldError, _check_fields
+from ._checks import MODES, _FieldError, _check_fields, _check_mode
 from .rng import derive_seed, rand_index
 from .topology import NoRouteError, Topology, generate_erdos_renyi, route_costs, shortest_path, step_mobility
 
-MODES = ("traditional", "sdn")
 # Flows to one destination from which one route_costs search serves them all: flow_heavy
 # routing per mode took 0.55 s with none, 0.21 s from 3 flows, 0.22 s from 2 or 4, 0.24 s from 5.
 _TREE_MIN_FLOWS = 3
@@ -181,11 +180,6 @@ def pdr_model(break_rate: float, repair_time_ms: float) -> float:
     if break_rate < 0 or repair_time_ms < 0:
         raise ValueError("break rate and repair time must be non-negative")
     return min(1.0, max(0.0, 1.0 - break_rate * repair_time_ms / 1000.0))
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def throughput_model(

@@ -279,10 +279,9 @@ def test_supported_nodes_match_an_exhaustive_scan(mode, demand, controller):
 
 
 def test_supported_nodes_rejects_bad_inputs():
+    # A bad mode is checked for every mode-taking function in test_modes.py.
     with pytest.raises(ValueError):
         max_supported_nodes("sdn", 0.0, OverheadParams(), _generator(), 5.5)
-    with pytest.raises(ValueError):
-        max_supported_nodes("mesh", 1.0, OverheadParams(), _generator(), 5.5)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CapacityGains)])

@@ -102,12 +102,6 @@ def test_throughput_pdr_thins_delivery():
     assert throughput_model("traditional", 1000.0, 800.0, 0.5, 1.0) == 400.0
 
 
-def test_throughput_rejects_an_unknown_mode():
-    # "SDN" used to be priced as traditional: 5.0 where "sdn" gives 6.0.
-    with pytest.raises(ValueError, match=r"^mode must be one of \('traditional', 'sdn'\), got 'SDN'$"):
-        throughput_model("SDN", 10.0, 5.0, 1.0, 1.2)
-
-
 # ------------------------------------------------------------------ scenarios
 
 def test_traditional_run_has_no_controller_artifacts():
@@ -143,11 +137,10 @@ def test_run_scenario_backlog_tracks_fluid_limit():
 
 
 def test_run_scenario_rejects_bad_mode_and_n():
+    # A bad mode is checked for every mode-taking function in test_modes.py.
     cfg = small_config()
     with pytest.raises(ValueError):
         run_scenario(cfg, 0, "sdn", seed=1)
-    with pytest.raises(ValueError):
-        run_scenario(cfg, 10, "mesh", seed=1)
 
 
 def test_rediscovery_rate_scales_with_speed_and_size():
