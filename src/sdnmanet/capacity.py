@@ -80,12 +80,13 @@ def pairwise_packet_count(
 def effective_capacity(
     mode: str,
     t: Topology,
+    node_capacity: float,
     mean_speed: float,
     params: OverheadParams,
     controller_capacity: float,
     window_s: float,
 ) -> CapacityBreakdown:
-    """Capacity breakdown of ``t`` in ``mode``.
+    """Capacity breakdown of ``t`` in ``mode``, every node carrying ``node_capacity``.
 
     The overhead rate is the pairwise packet count over ``window_s`` times
     ``packet_size_bits``, per second; traditional mode scales it by the
@@ -96,10 +97,10 @@ def effective_capacity(
     controller capacity or mean speed.
     """
     _check_mode(mode)
-    if controller_capacity < 0 or mean_speed < 0 or any(c < 0 for c in t.capacities_bps):
+    if controller_capacity < 0 or mean_speed < 0 or node_capacity < 0:
         raise ValueError("capacities and mean speed must be non-negative")
     rate = pairwise_packet_count(t, mean_speed, params, window_s) * params.packet_size_bits / window_s
-    node_sum = sum(t.capacities_bps)
+    node_sum = len(t._degree) * node_capacity
     if mode == "sdn":
         controller, overhead = controller_capacity, rate
     else:
@@ -120,6 +121,7 @@ def clustered_sliced_capacity(baseline: float, gains: CapacityGains) -> float:
 def max_supported_nodes(
     mode: str,
     per_node_demand: float,
+    node_capacity: float,
     params: OverheadParams,
     topology_generator: Callable[[int], Topology],
     mean_speed: float,
@@ -139,7 +141,7 @@ def max_supported_nodes(
     _check_mode(mode)
     for n in range(n_max, 0, -1):
         t = topology_generator(n)
-        breakdown = effective_capacity(mode, t, mean_speed, params, controller_capacity, 1.0)
+        breakdown = effective_capacity(mode, t, node_capacity, mean_speed, params, controller_capacity, 1.0)
         if breakdown.effective >= n * per_node_demand:
             return n
     return 0

@@ -207,7 +207,6 @@ def evolve_topology(cfg: ScenarioConfig, n: int, seed: int) -> Topology:
         cfg.topology.link_probability,
         derive_seed(seed, 1),
         area=(cfg.topology.area_width_m, cfg.topology.area_height_m),
-        node_capacity_bps=cfg.topology.node_capacity_bps,
     )
     steps, mobility_seed = int(round(cfg.sim_duration_s / cfg.topology.mobility_step_s)), derive_seed(seed, 2)
     speed_range = (cfg.topology.speed_min_mps, cfg.topology.speed_max_mps)
@@ -244,8 +243,8 @@ def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[i
 def capacity_breakdown(cfg: ScenarioConfig, mode: str, topo: Topology) -> cap.CapacityBreakdown:
     """Effective capacity of ``topo`` in ``mode`` over the scenario horizon."""
     return cap.effective_capacity(
-        mode, topo, cfg.mean_speed_mps(), cfg.overhead, cfg.controller_capacity_bps,
-        cfg.sim_duration_s,
+        mode, topo, cfg.topology.node_capacity_bps, cfg.mean_speed_mps(), cfg.overhead,
+        cfg.controller_capacity_bps, cfg.sim_duration_s,
     )
 
 

@@ -1,8 +1,8 @@
 """Network graph model: generation, mobility, distances, and paths.
 
 Nodes live in a rectangular area and are linked by an Erdos-Renyi random
-graph; every node carries a position, a velocity, a data-rate capacity, and
-a random-waypoint target. All operations are pure (they return fresh
+graph; every node carries a position, a velocity and a random-waypoint
+target. All operations are pure (they return fresh
 values) and deterministic given their seed.
 """
 
@@ -12,7 +12,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .rng import uniform_in
 
@@ -25,21 +24,11 @@ class NoRouteError(Exception):
     """Destination not reachable from the source in the current graph."""
 
 
-class NodeState(NamedTuple):
-    """One node: where it is, how it moves, and how much it can carry."""
-
-    position: tuple[float, float]  # meters
-    velocity: tuple[float, float]  # meters/second, points at the waypoint
-    capacity_bps: float            # bits/second
-    waypoint: tuple[float, float]  # meters
-
-
 @dataclass(frozen=True)
 class Topology:
     """Undirected graph over mobile nodes.
 
-    Node state is kept as four columns in ``NodeState`` field order; ``nodes``
-    rebuilds the records. Edges are unordered pairs ``(a, b)`` with ``a < b``,
+    Node state is kept as three columns, the ones mobility moves. Edges are unordered pairs ``(a, b)`` with ``a < b``,
     checked and indexed once at construction; mobility moves the nodes and
     keeps the edges. The fields are frozen and every column is a tuple (a list
     passed in is copied), so the index can never describe another graph. A
@@ -48,7 +37,6 @@ class Topology:
 
     positions: tuple[tuple[float, float], ...]    # meters
     velocities: tuple[tuple[float, float], ...]   # m/s, each points at its waypoint
-    capacities_bps: tuple[float, ...]             # bits/second
     waypoints: tuple[tuple[float, float], ...]    # meters
     edges: tuple[tuple[int, int], ...]
     area: tuple[float, float] = (1000.0, 1000.0)
@@ -57,7 +45,7 @@ class Topology:
 
     def __post_init__(self) -> None:
         n, edges = len(self.positions), self.edges
-        for name in ("positions", "velocities", "capacities_bps", "waypoints"):
+        for name in _MOVING:
             column = tuple(getattr(self, name))
             if len(column) != n:
                 raise ValueError(f"{name} has {len(column)} entries, positions has {n}")
@@ -120,9 +108,10 @@ class Topology:
         return vars(self)[name]
 
     @property
-    def nodes(self) -> tuple[NodeState, ...]:
-        """One ``NodeState`` per node, built from the columns on each read."""
-        return tuple(map(NodeState, self.positions, self.velocities, self.capacities_bps, self.waypoints))
+    def nodes(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """``(position, velocity, waypoint)`` per node. Kept only because ``bench/sweep_trace.py``
+        counts ``len(t.nodes)``; ROADMAP item 4 deletes it once that tracer reads a column."""
+        return tuple(zip(self.positions, self.velocities, self.waypoints))
 
     @property
     def edge_weight(self) -> dict[tuple[int, int], float]:
@@ -141,7 +130,6 @@ def generate_erdos_renyi(
     p: float,
     seed: int,
     area: tuple[float, float] = (1000.0, 1000.0),
-    node_capacity_bps: float = 15_000.0,
 ) -> Topology:
     """Build a G(n, p) graph with uniformly placed nodes.
 
@@ -154,8 +142,6 @@ def generate_erdos_renyi(
         raise ValueError("network must contain at least one node")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"link probability must be within [0, 1], got {p}")
-    if node_capacity_bps <= 0.0:
-        raise ValueError("node capacity must be positive")
     for name, side in zip(("width", "height"), area):
         if not 0.0 < side < math.inf:
             raise ValueError(f"area {name} must be positive and finite, got {side}")
@@ -173,7 +159,7 @@ def generate_erdos_renyi(
             if a == last:  # the carry passed the last row
                 break
             edges.append((a, b))
-    return Topology(positions, ((0.0, 0.0),) * n, (node_capacity_bps,) * n, positions, tuple(edges), area)
+    return Topology(positions, ((0.0, 0.0),) * n, positions, tuple(edges), area)
 
 
 def step_mobility(
@@ -187,7 +173,7 @@ def step_mobility(
     A node moves toward its waypoint at its current speed; on arrival it
     draws a new waypoint uniformly in the area and a new speed uniformly in
     ``speed_range`` (the arrival consumes the remainder of the step). The
-    result shares ``t``'s edges, adjacency and capacities, which mobility
+    result shares ``t``'s edges and adjacency, which mobility
     never changes, so they are not checked again. Its moving columns are
     computed on first read, so a seed ``random.Random`` rejects raises
     ``TypeError`` at the first read that reaches an arrival in this step.

@@ -139,13 +139,13 @@ def test_criterion_08_capacity_claims():
         return generate_erdos_renyi(
             n, cfg.topology.link_probability, derive_seed(cfg.seed, 5, n),
             area=(cfg.topology.area_width_m, cfg.topology.area_height_m),
-            node_capacity_bps=cfg.topology.node_capacity_bps,
         )
 
     supported = {}
     for mode in ("traditional", "sdn"):
         supported[mode] = max_supported_nodes(
-            mode, cfg.per_node_demand_bps, cfg.overhead, generator, cfg.mean_speed_mps(),
+            mode, cfg.per_node_demand_bps, cfg.topology.node_capacity_bps, cfg.overhead, generator,
+            cfg.mean_speed_mps(),
             controller_capacity=cfg.controller_capacity_bps if mode == "sdn" else 0.0,
             n_max=cfg.sweep.end,
         )

@@ -16,15 +16,12 @@ from sdnmanet.capacity import (
     max_supported_nodes,
     pairwise_packet_count,
 )
-from sdnmanet.topology import NodeState, Topology, distance, generate_erdos_renyi
+from sdnmanet.topology import Topology, distance, generate_erdos_renyi
 from test_topology import from_records
 
 
 def two_node_topology(gap_m: float) -> Topology:
-    nodes = [
-        NodeState(position=(0.0, 0.0), velocity=(0.0, 0.0), capacity_bps=1000.0, waypoint=(0.0, 0.0)),
-        NodeState(position=(gap_m, 0.0), velocity=(0.0, 0.0), capacity_bps=1000.0, waypoint=(gap_m, 0.0)),
-    ]
+    nodes = [((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)), ((gap_m, 0.0), (0.0, 0.0), (gap_m, 0.0))]
     return from_records(nodes, ((0, 1),), (2 * gap_m, 2 * gap_m))
 
 
@@ -59,7 +56,7 @@ def per_edge_packet_count(t, mean_speed, params, window_s):
     """Oracle: the packet count as first written, one Python iteration per edge."""
     if window_s <= 0.0:
         raise ValueError("window must be positive")
-    pos = [node.position for node in t.nodes]
+    pos = [position for position, _, _ in t.nodes]
     total = 0
     for a, b in t.edges:
         (ax, ay), (bx, by) = pos[a], pos[b]
@@ -76,15 +73,15 @@ def packet_worlds(draw):
     """Up to 12 nodes on at most 6 distinct spots (so nodes often coincide), any edge set."""
     spots = draw(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6))
     n = draw(st.integers(1, 12))
-    records = [NodeState(p, (0.0, 0.0), 1000.0, p) for p in draw(
+    records = [(p, (0.0, 0.0), p) for p in draw(
         st.lists(st.sampled_from(spots), min_size=n, max_size=n))]
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return from_records(records, tuple(edges))
 
 
-_coincident = from_records([NodeState((5.0, 5.0), (0.0, 0.0), 1.0, (5.0, 5.0))] * 3, ((0, 1), (0, 2), (1, 2)))
-_near_1e6 = from_records([NodeState(p, (0.0, 0.0), 1.0, p)
+_coincident = from_records([((5.0, 5.0), (0.0, 0.0), (5.0, 5.0))] * 3, ((0, 1), (0, 2), (1, 2)))
+_near_1e6 = from_records([(p, (0.0, 0.0), p)
                           for p in ((1e6, 1e6), (1e6 - 0.5, 1e6), (1e6 + 2**-30, 1e6 - 2**-30))],
                          ((0, 1), (0, 2), (1, 2)))
 _half_way = two_node_topology(6.428571428571428)
@@ -132,75 +129,74 @@ def test_pairwise_packets_grow_with_speed_and_coefficient():
 
 # ------------------------------------------------------- capacity breakdowns
 
-def breakdown(mode, capacities, controller, packet_bits, flood=1.5, mean_speed=1.0, window_s=1.0):
-    """``effective_capacity`` of nodes 1 m apart in a row, only nodes 0 and 1
-    linked, at pair coefficient 1: one packet of ``packet_bits`` per
-    second per m/s of ``mean_speed``, before the flooding multiplier."""
-    records = [NodeState((float(i), 0.0), (0.0, 0.0), c, (float(i), 0.0)) for i, c in enumerate(capacities)]
+def breakdown(mode, node_capacity, controller, packet_bits, flood=1.5, mean_speed=1.0, window_s=1.0):
+    """``effective_capacity`` of two linked nodes 1 m apart at pair
+    coefficient 1: one packet of ``packet_bits`` per second per m/s of
+    ``mean_speed``, before the flooding multiplier."""
     params = OverheadParams(packet_size_bits=packet_bits, pair_coefficient=1.0, flood_multiplier=flood)
-    return effective_capacity(mode, from_records(records, ((0, 1),)), mean_speed, params, controller, window_s)
+    return effective_capacity(mode, two_node_topology(1.0), node_capacity, mean_speed, params, controller, window_s)
 
 
 def test_overhead_bits_packet_size_product():
-    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=10.0).overhead == 5120.0
-    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=10.0, window_s=4.0).overhead == 5120.0
-    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=0.0).overhead == 0.0
-    assert breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=1000.0).overhead == 512_000.0
+    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=10.0).overhead == 5120.0
+    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=10.0, window_s=4.0).overhead == 5120.0
+    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=0.0).overhead == 0.0
+    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=1000.0).overhead == 512_000.0
 
 
 def test_overhead_bits_rejects_negative_count():
     # A negative mean speed would make a negative packet count.
     with pytest.raises(ValueError, match="mean speed must be non-negative"):
-        breakdown("sdn", [1.0, 1.0], 0.0, 512, mean_speed=-1.0)
+        breakdown("sdn", 1.0, 0.0, 512, mean_speed=-1.0)
 
 
 def test_capacity_sdn_subtracts_overhead():
-    b = breakdown("sdn", [400.0, 600.0], 200.0, 300)
+    b = breakdown("sdn", 500.0, 200.0, 300)
     assert (b.node_sum, b.controller, b.overhead) == (1000.0, 200.0, 300.0)
     assert b.effective == 900.0
     assert not b.saturated
 
 
 def test_capacity_sdn_clamps_to_zero_and_flags():
-    b = breakdown("sdn", [100.0, 0.0], 50.0, 300)
+    b = breakdown("sdn", 50.0, 50.0, 300)
     assert b.effective == 0.0
     assert b.saturated
-    b = breakdown("traditional", [100.0, 0.0], 50.0, 100)  # 150 b/s of flooding
+    b = breakdown("traditional", 50.0, 50.0, 100)  # 150 b/s of flooding
     assert b.effective == 0.0
     assert b.saturated
 
 
 def test_capacity_sdn_no_overhead_sums_everything():
-    b = breakdown("sdn", [100.0, 200.0], 50.0, 512, mean_speed=0.0)
+    b = breakdown("sdn", 150.0, 50.0, 512, mean_speed=0.0)
     assert b.effective == 350.0
 
 
 def test_capacity_traditional_subtracts_flood():
-    b = breakdown("traditional", [500.0, 500.0], 999.0, 200, flood=0.5)
+    b = breakdown("traditional", 500.0, 999.0, 200, flood=0.5)
     assert b.effective == 900.0
     assert b.controller == 0.0  # the controller term counts in SDN mode only
 
 
 def test_flood_multiplier_scales_overhead():
     for flood in (0.0, 1.5, 3.0):
-        sdn = breakdown("sdn", [1e6, 1e6], 0.0, 123, flood=flood)
-        trad = breakdown("traditional", [1e6, 1e6], 0.0, 123, flood=flood)
+        sdn = breakdown("sdn", 1e6, 0.0, 123, flood=flood)
+        trad = breakdown("traditional", 1e6, 0.0, 123, flood=flood)
         assert sdn.overhead == 123.0  # no flooding in SDN mode
         assert trad.overhead == flood * 123.0
 
 
 def test_capacity_upper_bound():
     for mode in ("sdn", "traditional"):
-        b = breakdown(mode, [100.0, 300.0], 50.0, 17)
-        assert b.effective <= b.node_sum + b.controller <= 100.0 + 300.0 + 50.0
-    assert breakdown("sdn", [100.0, 300.0], 50.0, 17).effective == 433.0
+        b = breakdown(mode, 200.0, 50.0, 17)
+        assert b.effective <= b.node_sum + b.controller <= 2 * 200.0 + 50.0
+    assert breakdown("sdn", 200.0, 50.0, 17).effective == 433.0
 
 
-@pytest.mark.parametrize("capacities, controller", [([1.0, -1.0], 0.0), ([1.0, 1.0], -1.0)])
-def test_effective_capacity_rejects_negative_capacities(capacities, controller):
+@pytest.mark.parametrize("node_capacity, controller", [(-1.0, 0.0), (1.0, -1.0)])
+def test_effective_capacity_rejects_negative_capacities(node_capacity, controller):
     for mode in ("sdn", "traditional"):
         with pytest.raises(ValueError, match="capacities .* must be non-negative"):
-            breakdown(mode, capacities, controller, 512)
+            breakdown(mode, node_capacity, controller, 512)
 
 
 def test_capacity_total_sums():
@@ -220,24 +216,24 @@ def test_sdn_capacity_beats_traditional_from_30_nodes():
 
     cfg = ScenarioConfig()
     for n in range(30, 201, 10):
-        t = generate_erdos_renyi(n, cfg.topology.link_probability, seed=n,
-                                 node_capacity_bps=cfg.topology.node_capacity_bps)
-        sdn, trad = (effective_capacity(mode, t, cfg.mean_speed_mps(), cfg.overhead,
-                                        cfg.controller_capacity_bps, 1.0) for mode in ("sdn", "traditional"))
+        t = generate_erdos_renyi(n, cfg.topology.link_probability, seed=n)
+        sdn, trad = (effective_capacity(mode, t, cfg.topology.node_capacity_bps, cfg.mean_speed_mps(),
+                                        cfg.overhead, cfg.controller_capacity_bps, 1.0)
+                     for mode in ("sdn", "traditional"))
         assert sdn.effective > trad.effective
 
 
 # -------------------------------------------------------- supportable nodes
 
-def _generator(node_capacity=15_000.0, p=0.05):
+def _generator(p=0.05):
     def gen(n):
-        return generate_erdos_renyi(n, p, seed=1000 + n, node_capacity_bps=node_capacity)
+        return generate_erdos_renyi(n, p, seed=1000 + n)
     return gen
 
 
 def test_unsatisfiable_demand_returns_zero():
     result = max_supported_nodes(
-        "traditional", per_node_demand=1e9, params=OverheadParams(),
+        "traditional", per_node_demand=1e9, node_capacity=15_000.0, params=OverheadParams(),
         topology_generator=_generator(), mean_speed=5.5,
     )
     assert result == 0
@@ -247,7 +243,7 @@ def test_supported_nodes_nonincreasing_in_demand():
     previous = None
     for demand in (5_000.0, 8_000.0, 11_000.0, 14_000.0):
         value = max_supported_nodes(
-            "sdn", demand, OverheadParams(), _generator(), 5.5,
+            "sdn", demand, 15_000.0, OverheadParams(), _generator(), 5.5,
             controller_capacity=10_000.0,
         )
         if previous is not None:
@@ -268,12 +264,12 @@ def test_supported_nodes_match_an_exhaustive_scan(mode, demand, controller):
     gen = _generator(p=0.1)
     supported = [
         n for n in range(1, 61)
-        if effective_capacity(mode, gen(n), 5.5, OverheadParams(), controller, 1.0).effective
+        if effective_capacity(mode, gen(n), 15_000.0, 5.5, OverheadParams(), controller, 1.0).effective
         >= n * demand
     ]
     assert any(n not in supported for n in range(1, max(supported)))  # not monotone
     result = max_supported_nodes(
-        mode, demand, OverheadParams(), gen, 5.5, controller_capacity=controller, n_max=60,
+        mode, demand, 15_000.0, OverheadParams(), gen, 5.5, controller_capacity=controller, n_max=60,
     )
     assert result == max(supported)
 
@@ -281,7 +277,7 @@ def test_supported_nodes_match_an_exhaustive_scan(mode, demand, controller):
 def test_supported_nodes_rejects_bad_inputs():
     # A bad mode is checked for every mode-taking function in test_modes.py.
     with pytest.raises(ValueError):
-        max_supported_nodes("sdn", 0.0, OverheadParams(), _generator(), 5.5)
+        max_supported_nodes("sdn", 0.0, 15_000.0, OverheadParams(), _generator(), 5.5)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CapacityGains)])

@@ -41,9 +41,10 @@ def world():
 # "traditional" give different results.
 VALID_CALLS = {
     "capacity.effective_capacity":
-        lambda mode: effective_capacity(mode, world(), 1.0, OverheadParams(), 5e6, 1.0),
+        lambda mode: effective_capacity(mode, world(), 15_000.0, 1.0, OverheadParams(), 5e6, 1.0),
     "capacity.max_supported_nodes":
-        lambda mode: max_supported_nodes(mode, 1e5, OverheadParams(), lambda n: generate_erdos_renyi(n, 0.3, seed=n),
+        lambda mode: max_supported_nodes(mode, 1e5, 15_000.0, OverheadParams(),
+                                         lambda n: generate_erdos_renyi(n, 0.3, seed=n),
                                          1.0, controller_capacity=5e6, n_max=10),
     "routing.control_overhead": lambda mode: control_overhead(mode, world(), RoutingParams(), 1.0, 1.0),
     "simulator.capacity_breakdown": lambda mode: capacity_breakdown(ScenarioConfig(), mode, world()),

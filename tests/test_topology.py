@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from sdnmanet import topology
 from sdnmanet.rng import uniform_in
 from sdnmanet.topology import (
-    NodeState,
     NoRouteError,
     Topology,
     distance,
@@ -52,27 +51,19 @@ def brute_force_min_cost(t, src, dst, weights):
 
 
 def from_records(records, edges=(), area=(10.0, 10.0)):
-    """A topology whose columns are read off ``NodeState`` records, in field order."""
+    """A topology whose columns are read off ``(position, velocity, waypoint)`` records."""
     return Topology(*zip(*records), edges=edges, area=area)
 
 
 def line_topology(weights=None):
     """A - B - C with unit edge weights at fixed positions."""
-    nodes = [
-        NodeState(position=(float(i), 0.0), velocity=(0.0, 0.0),
-                  capacity_bps=1000.0, waypoint=(float(i), 0.0))
-        for i in range(3)
-    ]
+    nodes = [((float(i), 0.0), (0.0, 0.0), (float(i), 0.0)) for i in range(3)]
     return from_records(nodes, ((0, 1), (1, 2)))
 
 
 def diamond_topology():
     """4-cycle A-B-C plus A-D-C; every node has degree 2."""
-    nodes = [
-        NodeState(position=(float(i), 0.0), velocity=(0.0, 0.0),
-                  capacity_bps=1000.0, waypoint=(float(i), 0.0))
-        for i in range(4)
-    ]
+    nodes = [((float(i), 0.0), (0.0, 0.0), (float(i), 0.0)) for i in range(4)]
     return from_records(nodes, ((0, 1), (0, 3), (1, 2), (2, 3)))  # A=0, B=1, C=2, D=3
 
 
@@ -90,13 +81,12 @@ def test_topology_rejects_malformed_edges(edges, message):
         from_records(nodes, edges)
 
 
-COLUMNS = ("positions", "velocities", "capacities_bps", "waypoints")
+COLUMNS = ("positions", "velocities", "waypoints")
 
 
 @pytest.mark.parametrize("column, message", [
     ("positions", "velocities has 3 entries, positions has 2"),
     ("velocities", "velocities has 2 entries, positions has 3"),
-    ("capacities_bps", "capacities_bps has 2 entries, positions has 3"),
     ("waypoints", "waypoints has 2 entries, positions has 3"),
 ])
 def test_topology_rejects_columns_of_different_lengths(column, message):
@@ -109,14 +99,14 @@ def test_topology_rejects_columns_of_different_lengths(column, message):
 
 
 def test_records_round_trip_through_the_columns():
-    records = [NodeState((1.5, -0.0), (0.25, 3.0), 700.0, (9.0, 2.0)),
-               NodeState((0.0, 4.0), (0.0, 0.0), 15_000.0, (0.0, 4.0))]
+    records = [((1.5, -0.0), (0.25, 3.0), (9.0, 2.0)),
+               ((0.0, 4.0), (0.0, 0.0), (0.0, 4.0))]
     t = from_records(records, ((0, 1),))
-    assert all(type(node) is NodeState for node in t.nodes)
+    assert all(type(node) is tuple for node in t.nodes)
     assert t.nodes == tuple(records) and hash(t.nodes) == hash(tuple(records))
     again = from_records(t.nodes, t.edges)
     assert again == t and hash(again) == hash(t)
-    assert t.positions == ((1.5, -0.0), (0.0, 4.0)) and t.capacities_bps == (700.0, 15_000.0)
+    assert t.positions == ((1.5, -0.0), (0.0, 4.0)) and t.waypoints == ((9.0, 2.0), (0.0, 4.0))
 
 
 def test_topology_fields_cannot_be_reassigned():
@@ -183,7 +173,7 @@ def edge_lists(draw):
 @given(case=edge_lists())
 def test_construction_matches_the_per_edge_check(case):
     n, edges = case
-    nodes = [NodeState((float(i), 0.0), (0.0, 0.0), 1000.0, (float(i), 0.0)) for i in range(n)]
+    nodes = [((float(i), 0.0), (0.0, 0.0), (float(i), 0.0)) for i in range(n)]
     try:
         adjacency, degrees = per_edge_index(n, edges)
     except ValueError as expected:
@@ -263,9 +253,9 @@ def test_generation_is_deterministic():
 
 def test_positions_fall_inside_area():
     t = generate_erdos_renyi(50, 0.05, seed=9, area=(300.0, 200.0))
-    for node in t.nodes:
-        assert 0.0 <= node.position[0] <= 300.0
-        assert 0.0 <= node.position[1] <= 200.0
+    for x, y in t.positions:
+        assert 0.0 <= x <= 300.0
+        assert 0.0 <= y <= 200.0
 
 
 def test_handshake_lemma_on_random_graphs():
@@ -274,14 +264,13 @@ def test_handshake_lemma_on_random_graphs():
         assert sum(len(t._adjacency[i]) for i in range(40)) == 2 * len(t.edges)
 
 
-def per_pair_erdos_renyi(n, p, seed, area=(1000.0, 1000.0), node_capacity_bps=15_000.0):
+def per_pair_erdos_renyi(n, p, seed, area=(1000.0, 1000.0)):
     """Oracle: G(n, p) as first written, one draw per node pair after the positions."""
     rng = random.Random(seed)
     nodes = []
     for _ in range(n):
         pos = (uniform_in(rng, 0.0, area[0]), uniform_in(rng, 0.0, area[1]))
-        nodes.append(NodeState(position=pos, velocity=(0.0, 0.0),
-                               capacity_bps=node_capacity_bps, waypoint=pos))
+        nodes.append((pos, (0.0, 0.0), pos))
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     return from_records(nodes, tuple(edges), area)
 
@@ -357,15 +346,14 @@ def test_every_pair_is_included_with_probability_p():
 def test_zero_speed_range_leaves_positions_unchanged():
     t = generate_erdos_renyi(20, 0.2, seed=5)
     stepped = step_mobility(t, 1.0, (0.0, 0.0), seed=11)
-    assert [n.position for n in stepped.nodes] == [n.position for n in t.nodes]
+    assert stepped.positions == t.positions
 
 
 def test_linear_motion_toward_waypoint():
-    node = NodeState(position=(0.0, 0.0), velocity=(5.0, 0.0),
-                     capacity_bps=1000.0, waypoint=(10.0, 0.0))
+    node = ((0.0, 0.0), (5.0, 0.0), (10.0, 0.0))
     t = from_records([node], area=(20.0, 20.0))
     stepped = step_mobility(t, 1.0, (1.0, 1.0), seed=2)
-    assert stepped.positions == ((5.0, 0.0),) and stepped.nodes[0].position == (5.0, 0.0)
+    assert stepped.positions == ((5.0, 0.0),) and stepped.nodes[0][0] == (5.0, 0.0)
 
 
 def test_mobility_preserves_nodes_and_bounds():
@@ -373,9 +361,9 @@ def test_mobility_preserves_nodes_and_bounds():
     for step in range(1000):
         t = step_mobility(t, 1.0, (1.0, 10.0), seed=step)
     assert len(t.nodes) == 15
-    for node in t.nodes:
-        assert 0.0 <= node.position[0] <= 100.0
-        assert 0.0 <= node.position[1] <= 80.0
+    for x, y in t.positions:
+        assert 0.0 <= x <= 100.0
+        assert 0.0 <= y <= 80.0
 
 
 def test_mobility_recomputes_edge_weights_from_distances():
@@ -418,9 +406,9 @@ def test_topology_invariants_hold_under_mobility(n, p, area, speeds, dt, steps, 
     assert t.edges == start.edges
     fresh = from_records(t.nodes, t.edges, area)
     assert [t._adjacency[i] for i in range(n)] == [fresh._adjacency[i] for i in range(n)]
-    for node in t.nodes:
-        assert 0.0 <= node.position[0] <= area[0]
-        assert 0.0 <= node.position[1] <= area[1]
+    for x, y in t.positions:
+        assert 0.0 <= x <= area[0]
+        assert 0.0 <= y <= area[1]
     assert t.edge_weight == {(a, b): max(distance(t, a, b), 1e-9) for a, b in t.edges}
     assert start == generate_erdos_renyi(n, p, seed, area=area)  # stepping left it alone
 
@@ -469,8 +457,7 @@ def dataclass_step_mobility(t, dt, speed_range, seed):
         return math.hypot(p[0] - q[0], p[1] - q[1])
 
     moved = []
-    for node in t.nodes:
-        pos, vel, wp = node.position, node.velocity, node.waypoint
+    for pos, vel, wp in t.nodes:
         speed = math.hypot(*vel)
         dist_to_wp = euclid(pos, wp)
         if speed * dt >= dist_to_wp:
@@ -485,16 +472,14 @@ def dataclass_step_mobility(t, dt, speed_range, seed):
         else:
             pos = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt)
         pos = (min(max(pos[0], 0.0), width), min(max(pos[1], 0.0), height))
-        moved.append(NodeState(position=pos, velocity=vel,
-                               capacity_bps=node.capacity_bps, waypoint=wp))
+        moved.append((pos, vel, wp))
     return from_records(moved, t.edges, t.area)
 
 
 def exact_columns(t):
     """Every entry of every column as float.hex, so -0.0 and NaN count."""
-    points = [[(float.hex(x), float.hex(y)) for x, y in column]
-              for column in (t.positions, t.velocities, t.waypoints)]
-    return points + [list(map(float.hex, t.capacities_bps))]
+    return [[(float.hex(x), float.hex(y)) for x, y in column]
+            for column in (t.positions, t.velocities, t.waypoints)]
 
 
 BORDER_WORLD = [  # (position, velocity, waypoint) on the border of a 100 x 50 area, some heading out
@@ -538,9 +523,7 @@ def test_light_node_stepping_matches_the_dataclass_step(world, area, speeds, dt,
         n, p, world_seed = world
         t = generate_erdos_renyi(n, p, world_seed, area=area)
     else:
-        nodes = [NodeState(position=pos, velocity=vel, capacity_bps=1000.0, waypoint=wp)
-                 for pos, vel, wp in world]
-        t = from_records(nodes, area=area)
+        t = from_records(world, area=area)
     fast = slow = t
     for k in range(30):
         fast = step_mobility(fast, dt, speeds, seed + k)
@@ -564,7 +547,7 @@ def test_a_step_with_arrivals_leaves_its_input_unchanged():
     assert exact_columns(stepped) != before
     assert exact_columns(t) == before
     assert exact_columns(step_mobility(t, 1.0, (1.0, 5.0), seed=9)) == exact_columns(stepped)
-    assert stepped.capacities_bps is t.capacities_bps and stepped.edges is t.edges
+    assert stepped.edges is t.edges
 
 
 def is_walked(t):
@@ -581,7 +564,7 @@ def build_world(world, area):
     if isinstance(world, tuple):
         n, p, world_seed = world
         return generate_erdos_renyi(n, p, world_seed, area=area)
-    return from_records([NodeState(pos, vel, 1000.0, wp) for pos, vel, wp in world], area=area)
+    return from_records(world, area=area)
 
 
 @settings(max_examples=60, deadline=None)
@@ -665,7 +648,7 @@ def test_a_stepped_topology_compares_and_hashes_as_its_rebuilt_world():
 
 
 def test_a_bad_seed_raises_at_the_first_read_that_reaches_an_arrival():
-    moving = from_records([NodeState((0.0, 0.0), (1.0, 0.0), 1000.0, (10.0, 0.0))], area=(20.0, 20.0))
+    moving = from_records([((0.0, 0.0), (1.0, 0.0), (10.0, 0.0))], area=(20.0, 20.0))
     never_arrives = step_mobility(moving, 1.0, (1.0, 2.0), seed=[1])
     assert never_arrives.positions == ((1.0, 0.0),)
     arrives = step_mobility(moving, 20.0, (1.0, 2.0), seed=[1])
@@ -732,10 +715,7 @@ def test_long_run_positions_match_the_stationary_waypoint_density():
 # ------------------------------------------------------------------ distance
 
 def test_distance_345_triangle():
-    nodes = [
-        NodeState(position=(0.0, 0.0), velocity=(0.0, 0.0), capacity_bps=1.0, waypoint=(0.0, 0.0)),
-        NodeState(position=(3.0, 4.0), velocity=(0.0, 0.0), capacity_bps=1.0, waypoint=(3.0, 4.0)),
-    ]
+    nodes = [((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)), ((3.0, 4.0), (0.0, 0.0), (3.0, 4.0))]
     t = from_records(nodes)
     assert distance(t, 0, 1) == 5.0
     assert distance(t, 1, 0) == 5.0
