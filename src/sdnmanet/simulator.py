@@ -308,16 +308,16 @@ def _mean_reports(reports: list[MetricsReport]) -> MetricsReport:
 def sweep(cfg: ScenarioConfig) -> list[tuple[MetricsReport, MetricsReport]]:
     """One (traditional, sdn) report pair per sweep point, seed-averaged.
 
-    Run seeds derive additively from the scenario seed: point index plus
-    seed index. Both modes of a given run share a seed, so they see the
-    identical topology, mobility history, and flow sample.
+    Each run's seed is ``derive_seed(cfg.seed, point_index, seed_index)``, so
+    no two runs of a sweep share a stream. Both modes of a given run share a
+    seed, so they see the identical topology, mobility history, and flow sample.
     """
     cfg.validate()
     pairs: list[tuple[MetricsReport, MetricsReport]] = []
     for point_index, n in enumerate(cfg.sweep_points()):
         per_mode: dict[str, list[MetricsReport]] = {m: [] for m in MODES}
         for seed_index in range(cfg.seeds_per_point):
-            run_seed = cfg.seed + point_index + seed_index
+            run_seed = derive_seed(cfg.seed, point_index, seed_index)
             for mode in MODES:
                 try:
                     per_mode[mode].append(run_scenario(cfg, n, mode, run_seed))

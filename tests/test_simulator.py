@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from sdnmanet import controller as ctl
 from sdnmanet import simulator
 from sdnmanet.controller import fluid_backlog
-from sdnmanet.config import _REGISTRY
+from sdnmanet.config import _REGISTRY, parse_config
 from sdnmanet.econ import CostParams
-from sdnmanet.rng import rand_index
+from sdnmanet.rng import derive_seed, rand_index
 from sdnmanet.simulator import (
     ComparisonRow,
     MetricsReport,
@@ -236,7 +237,28 @@ def test_sweep_error_names_point_seed_and_mode(monkeypatch):
     cfg.sweep = dataclasses.replace(cfg.sweep, start=25, end=25, step=30)
     with pytest.raises(ValueError) as info:
         sweep(cfg)
-    assert str(info.value) == f"sweep point n=25, seed={cfg.seed}, mode=sdn: queue exploded"
+    assert str(info.value) == f"sweep point n=25, seed={derive_seed(cfg.seed, 0, 0)}, mode=sdn: queue exploded"
+
+
+def test_every_run_of_the_reference_sweep_has_its_own_seed(monkeypatch):
+    # Run seeds were cfg.seed + point_index + seed_index: 16 distinct over
+    # these 70 runs, with adjacent points sharing 9 of their 10.
+    runs = []
+
+    def record(cfg, n, mode, seed):
+        runs.append((n, mode, seed))
+        return MetricsReport(
+            n=n, mode=mode, latency_avg_ms=0.0, latency_max_ms=0.0, throughput_bps=0.0, pdr=0.0,
+            control_overhead_bits=0.0, queue_backlog=0.0, effective_capacity_bps=0.0,
+            cpu_pct=0.0, mem_pct=0.0, net_pct=0.0, storage_pct=0.0, saturated=False,
+        )
+
+    monkeypatch.setattr(simulator, "run_scenario", record)
+    sweep(parse_config(Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"))
+    seeds = {seed for _, _, seed in runs}
+    assert len(runs) == 140 and len(seeds) == 70
+    for seed in seeds:
+        assert sorted(mode for _, mode, s in runs if s == seed) == ["sdn", "traditional"]
 
 
 # ----------------------------------------------------------------- comparison
