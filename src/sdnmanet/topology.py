@@ -2,8 +2,8 @@
 
 Nodes live in a rectangular area and are linked by an Erdos-Renyi random
 graph; every node carries a position, a velocity and a random-waypoint
-target. All operations are pure (they return fresh
-values) and deterministic given their seed.
+target. All operations are pure (they return fresh values) and
+deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ class NoRouteError(Exception):
 class Topology:
     """Undirected graph over mobile nodes.
 
-    Node state is kept as three columns, the ones mobility moves. Edges are unordered pairs ``(a, b)`` with ``a < b``,
-    checked and indexed once at construction; mobility moves the nodes and
-    keeps the edges. The fields are frozen and every column is a tuple (a list
-    passed in is copied), so the index can never describe another graph. A
-    stepped topology computes its moving columns on first read (``__getattr__``).
+    Node state is kept as three columns, the ones mobility moves. Edges are
+    unordered pairs ``(a, b)`` with ``a < b``, checked and indexed once at
+    construction; mobility moves the nodes and keeps the edges. The fields are
+    frozen and every column is a tuple (a list passed in is copied), so the
+    index can never describe another graph. A stepped topology computes its
+    moving columns on first read (``__getattr__``).
     """
 
     positions: tuple[tuple[float, float], ...]    # meters
@@ -173,8 +174,8 @@ def step_mobility(
     A node moves toward its waypoint at its current speed; on arrival it
     draws a new waypoint uniformly in the area and a new speed uniformly in
     ``speed_range`` (the arrival consumes the remainder of the step). The
-    result shares ``t``'s edges and adjacency, which mobility
-    never changes, so they are not checked again. Its moving columns are
+    result shares ``t``'s edges and adjacency, which mobility never
+    changes, so they are not checked again. Its moving columns are
     computed on first read, so a seed ``random.Random`` rejects raises
     ``TypeError`` at the first read that reaches an arrival in this step.
     """

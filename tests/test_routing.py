@@ -212,12 +212,6 @@ def test_control_overhead_vanishes_with_duration():
         control_overhead("traditional", t, p, 0.0, 1.0)
 
 
-def test_control_overhead_rejects_unknown_mode():
-    t = generate_erdos_renyi(4, 0.5, seed=3)
-    with pytest.raises(ValueError):
-        control_overhead("hybrid", t, params(), 1.0, 0.0)
-
-
 def test_control_overhead_rejects_negative_break_rate():
     t = generate_erdos_renyi(4, 0.5, seed=3)
     for mode in ("traditional", "sdn"):
