@@ -39,6 +39,9 @@ STDOUT = {
     # controller-backlog check.
     "simulate_n170_traditional.csv": ["simulate", "--n", "170", "--mode", "traditional"],
     "simulate_n170_sdn.csv": ["simulate", "--n", "170", "--mode", "sdn"],
+    # Routes at a mean degree near 50, five times the sweep's densest world:
+    # where a search that stops early would first pick a different route.
+    "simulate_n1000_traditional.csv": ["simulate", "--n", "1000", "--mode", "traditional"],
 }
 
 
