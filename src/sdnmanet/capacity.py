@@ -93,11 +93,11 @@ def effective_capacity(
     flooding multiplier. It comes off the node capacity sum, plus the
     controller's capacity in SDN mode only, and the result is clamped at
     zero, with ``saturated`` set when the overhead exceeds the capacity.
-    Raises ``ValueError`` for an unknown mode, or for a negative node or
-    controller capacity or mean speed.
+    Raises ``ValueError`` for an unknown mode, or for a negative or NaN node
+    or controller capacity or mean speed.
     """
     _check_mode(mode)
-    if controller_capacity < 0 or mean_speed < 0 or node_capacity < 0:
+    if not (controller_capacity >= 0 and mean_speed >= 0 and node_capacity >= 0):  # NaN fails too
         raise ValueError("capacities and mean speed must be non-negative")
     rate = pairwise_packet_count(t, mean_speed, params, window_s) * params.packet_size_bits / window_s
     node_sum = len(t._degree) * node_capacity

@@ -30,7 +30,7 @@ from .rng import derive_seed, rand_index
 from .topology import NoRouteError, Topology, generate_erdos_renyi, route_costs, shortest_path, step_mobility
 
 # Flows to one destination from which one route_costs search serves them all: flow_heavy
-# routing per mode took 0.55 s with none, 0.21 s from 3 flows, 0.22 s from 2 or 4, 0.24 s from 5.
+# routing per mode took 0.206 s with none, 0.114 s from 3 flows, 0.113-0.119 s from 2, 4, 5 or 6.
 _TREE_MIN_FLOWS = 3
 
 

@@ -12,6 +12,8 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import groupby, repeat
 
 from .rng import uniform_in
 
@@ -71,25 +73,31 @@ class Topology:
         object.__setattr__(self, "_degree", tuple(map(len, neighbors)))
 
     def __getattr__(self, name: str) -> object:
-        """A stepped topology's moving column. The first read follows the ``_pending``
-        links, each a (parent, step) pair, back to the nearest walked topology, takes
-        each node, in index order, through every step since with one step's float
-        operations, clamps and draws, and stores all three columns. Step k's
-        generator starts at its first arrival and serves its arrivals in node order."""
+        """A stepped topology's moving column. The first read follows the ``_pending`` links, each
+        a (parent, step) pair, back to the nearest walked topology, takes each node, in index order,
+        through every step since with one step's float operations, clamps and draws, and stores all
+        three columns. Step k's generator starts at its first arrival and serves its arrivals in node
+        order. A node nears its waypoint by at most ``reach`` a step, give or take roundings the
+        margin covers, so the m steps from an unarrived step that share its dt all move. If m >= 4
+        (fewer cost more to fold than to walk) and both ends lie in the area, they run folded in C,
+        the same adds in order: a fixed float add is monotone, so no clamp acts between them."""
         if name not in _MOVING or not vars(self).get("_pending"):
             raise AttributeError(name)
         base, steps = self, []
         while pending := vars(base).get("_pending"):
             base, step = pending
             steps.append(step)
-        (width, height), hypot, walked = self.area, math.hypot, []
-        steps, draws = steps[::-1], [None] * len(steps)  # oldest step first
+        (width, height), hypot, add, walked = self.area, math.hypot, operator.add, []
+        steps, draws, last = steps[::-1], [None] * len(steps), len(steps)  # oldest step first
+        # runs[k]: the steps from k on that share step k's dt
+        runs = [run for _, same in groupby(step[0] for step in steps) for run in range(len([*same]), 0, -1)]
         for (px, py), (vx, vy), (wx, wy) in zip(base.positions, base.velocities, base.waypoints):
-            leg_dt = 0.0  # no step has dt == 0.0, so the first step sets the leg's constants
-            for k, (dt, lo, hi, seed) in enumerate(steps):
+            k, leg_dt = 0, 0.0  # no step has dt == 0.0, so the first step sets the leg's constants
+            while k < last:
+                dt, lo, hi, seed = steps[k]
                 if dt != leg_dt:  # a new leg or a new dt: a leg's reach and moves per step
                     leg_dt, reach, dx, dy = dt, hypot(vx, vy) * dt, vx * dt, vy * dt
-                if reach >= hypot(px - wx, py - wy):  # arrived: land on the waypoint, pick the next leg
+                if reach >= (left := hypot(px - wx, py - wy)):  # arrived: land on the waypoint, pick the next leg
                     px, py, leg_dt = wx, wy, 0.0
                     draw = draws[k] = draws[k] or random.Random(seed).random
                     wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
@@ -98,12 +106,20 @@ class Topology:
                     vx, vy = (((wx - px) / leg * speed, (wy - py) / leg * speed)
                               if speed > 0.0 and leg > 0.0 else (0.0, 0.0))
                 else:
+                    m = int(min((left - 1e-12 * (left + runs[k] * (width + height))) / reach, runs[k])
+                            if runs[k] > 3 and 0.0 < reach and left < math.inf else 1)
+                    if m > 3 and 0.0 <= px <= width and 0.0 <= py <= height:
+                        fx, fy = reduce(add, repeat(dx, m), px), reduce(add, repeat(dy, m), py)
+                        if 0.0 <= fx <= width and 0.0 <= fy <= height:
+                            px, py, k = fx, fy, k + m
+                            continue
                     px, py = px + dx, py + dy
                 # Clamp into the area; the same result as min(max(v, 0.0), bound), -0.0 and NaN included.
                 px = 0.0 if px < 0.0 else px
                 px = width if px > width else px
                 py = 0.0 if py < 0.0 else py
                 py = height if py > height else py
+                k += 1
             walked.append(((px, py), (vx, vy), (wx, wy)))
         vars(self).update(zip(_MOVING, tuple(zip(*walked)) or ((), (), ())), _pending=None)
         return vars(self)[name]
@@ -204,16 +220,13 @@ def route_costs(t: Topology, dst: int) -> list:
     """``shortest_path``'s ``db`` on every node (``inf`` off ``dst``'s component): a whole backward search."""
     _check_node(t, dst)
     adjacency, entry = t._adjacency, t._degree
-    db, cb, queue_b = [math.inf] * len(entry), 0, {0: [dst]}
-    db[dst] = 0
+    db, cb = [math.inf] * len(entry), entry[dst]
+    db[dst], queue_b = 0, {cb: [dst]}
     while queue_b:
         for u in queue_b.pop(cb):
-            if db[u] != cb:  # stale: u settled cheaper
-                continue
-            cv = cb + entry[u]
             for v in adjacency[u]:
-                if cv < db[v]:
-                    db[v] = cv
+                if cb < db[v]:
+                    db[v], cv = cb, cb + entry[v]
                     queue_b.setdefault(cv, []).append(v)
         while queue_b and (cb := cb + 1) not in queue_b:
             pass
@@ -228,17 +241,17 @@ def shortest_path(t: Topology, src: int, dst: int, costs_to_dst: list | None = N
     for a node outside ``t`` and ``NoRouteError`` when ``dst`` cannot be reached.
 
     The route is searched from both ends at once over the degree table, each
-    side a bucket queue (Dial, CACM 1969) from a cost to its nodes. A side
-    settles its whole bucket, ``cf`` or ``cb``, then moves to its next key.
-    ``df[v]`` is the cheapest cost found from ``src`` to ``v``, ``v``'s entry
-    (its degree) included, and ``db[v]`` from ``v`` to ``dst`` without it. The search stops
-    once the keys sum to more than ``mu``, the cheapest route seen (Goldberg &
-    Harrelson, SODA 2005), so every min-cost route is a forward-settled prefix
-    and a backward-settled suffix. ``db`` is extended over those prefixes, and
-    a walk from ``src`` takes the smallest tight neighbour. Keys never fall and
-    ``mu`` never rises, so a node is queued only if its cost plus the other
-    side's key is within ``mu``: any other never settles. A forward entry adds the
-    degree, at least 1, of the node it enters, so ``df[v]`` is set once and never stale.
+    side a bucket queue (Dial, CACM 1969) from a cost to its nodes, which settles
+    its whole bucket, ``cf`` or ``cb``, then moves to its next key. ``df[v]`` is the
+    cheapest cost found from ``src`` to ``v``, ``v``'s entry (its degree) included, and
+    ``db[v]`` from ``v`` to ``dst`` without it. Both sides key ``v`` with its entry, by
+    ``df[v]`` and ``db[v] + entry[v]``, so a step into ``v`` costs ``entry[v]``, at least 1:
+    a node's first cost is final and each side queues it at most once. The search stops
+    once the keys sum to more than ``mu``, the cheapest route seen (Goldberg & Harrelson,
+    SODA 2005), so every min-cost route is a forward-settled prefix and a backward-settled
+    suffix. ``db`` is extended over those prefixes, and a walk from ``src`` takes the
+    smallest tight neighbour. Keys never fall and ``mu`` never rises, so a node is queued
+    only if its key plus the other side's key is within ``mu``: any other never settles.
     ``costs_to_dst = route_costs(t, dst)`` replaces the search (``ValueError`` if not n long or 0 at ``dst``).
     """
     _check_node(t, src)
@@ -251,7 +264,7 @@ def shortest_path(t: Topology, src: int, dst: int, costs_to_dst: list | None = N
         db, mu, settled_f = costs_to_dst, entry[src] + costs_to_dst[src], ()
     else:
         df, db = [inf] * n, [inf] * n
-        cf, cb = df[src], db[dst] = entry[src], 0
+        cf, cb, df[src], db[dst] = entry[src], entry[dst], entry[src], 0
         mu = cf if src == dst else inf
         queue_f, queue_b, settled_f = {cf: [src]}, {cb: [dst]}, []
         while queue_f and queue_b and cf + cb <= mu:
@@ -270,14 +283,11 @@ def shortest_path(t: Topology, src: int, dst: int, costs_to_dst: list | None = N
                     pass
             else:
                 for u in queue_b.pop(cb):
-                    if db[u] != cb:  # stale: u settled cheaper
-                        continue
-                    cv = cb + entry[u]
                     for v in adjacency[u]:
-                        if cv < db[v]:
-                            db[v] = cv
-                            if df[v] + cv < mu:
-                                mu = df[v] + cv
+                        if cb < db[v]:
+                            db[v], cv = cb, cb + entry[v]
+                            if df[v] + cb < mu:
+                                mu = df[v] + cb
                             if cf + cv <= mu:
                                 queue_b.setdefault(cv, []).append(v)
                 while queue_b and (cb := cb + 1) not in queue_b:

@@ -199,6 +199,18 @@ def test_effective_capacity_rejects_negative_capacities(node_capacity, controlle
             breakdown(mode, node_capacity, controller, 512)
 
 
+@pytest.mark.parametrize("argument", ["node_capacity", "controller", "mean_speed"])
+def test_effective_capacity_rejects_a_nan_capacity_or_speed(argument):
+    # A NaN would pass a "< 0" guard and report an empty network: max(0.0, nan) is 0.0.
+    arguments = {"node_capacity": 1.0, "controller": 1.0, "mean_speed": 1.0, argument: math.nan}
+    for mode in ("sdn", "traditional"):
+        with pytest.raises(ValueError, match="capacities and mean speed must be non-negative"):
+            breakdown(mode, packet_bits=512, **arguments)
+    with pytest.raises(ValueError, match="capacities and mean speed must be non-negative"):
+        max_supported_nodes("sdn", 1.0, math.nan, OverheadParams(), lambda n: generate_erdos_renyi(n, 0.3, seed=1),
+                            mean_speed=1.0, controller_capacity=1.0, n_max=5)
+
+
 def test_capacity_total_sums():
     # clustered_sliced_capacity returns the clustered plus the sliced portion.
     gains = CapacityGains(clustered_share=0.4, clustered_gain=1.0, sliced_share=0.25, sliced_gain=1.0)

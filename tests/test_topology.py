@@ -595,6 +595,39 @@ def test_reading_a_chain_in_any_order_matches_reading_each_step(world, area, spe
     assert all(read[i] == exact_columns(eager[i]) for i in read)
 
 
+_dt = st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 100.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    world=st.one_of(_worlds, st.just(BORDER_WORLD)),
+    area=st.sampled_from([(1000.0, 1000.0), (100.0, 50.0), (50.0, 2000.0), (1.0, 1.0)]),
+    speeds=st.tuples(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 50.0)),
+                     st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 50.0))).map(sorted),
+    steps=st.integers(1, 100),
+    dts=st.lists(_dt, min_size=1, max_size=4),  # equal runs of each, in turn
+    seed=st.integers(0, 2**32),
+)
+@example(world=BORDER_WORLD, area=(100.0, 50.0), speeds=[1.0, 20.0], steps=60, dts=[0.5, 2.0, 0.5], seed=17)
+# BORDER_WORLD's node at (50, 50) is 30 m from its waypoint at 7.5 m a step: a tie lands it at step 4.
+@example(world=BORDER_WORLD, area=(1000.0, 1000.0), speeds=[0.0, 0.0], steps=6, dts=[1.25], seed=0)
+@example(world=[((-5.0, 25.0), (1.0, 0.0), (90.0, 25.0))],  # starts outside the area, heading in
+         area=(100.0, 50.0), speeds=[1.0, 20.0], steps=40, dts=[1.0], seed=17)
+@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=[1e-12, 1e-12], steps=100, dts=[1.0, 3.0], seed=5)
+@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=[0.0, 0.0], steps=50, dts=[1.0], seed=5)
+def test_a_chain_read_only_at_its_end_matches_the_dataclass_steps(world, area, speeds, steps, dts, seed):
+    # One read after up to 100 steps walks each node through long runs of steps with
+    # no arrival, the runs the walk folds; a dt that changes mid-chain must end a fold.
+    t = build_world(world, area)
+    fast = slow = t
+    for k in range(steps):
+        dt = dts[k * len(dts) // steps]
+        fast = step_mobility(fast, dt, tuple(speeds), seed + k)
+        slow = dataclass_step_mobility(slow, dt, tuple(speeds), seed + k)
+    assert not is_walked(fast)  # the read below is the only walk
+    assert exact_columns(fast) == exact_columns(slow)
+
+
 def test_a_stepped_topology_seeds_one_generator_per_step_with_an_arrival(monkeypatch):
     t = generate_erdos_renyi(40, 0.1, seed=3)  # at rest on the waypoints: all arrive at step 0
     slow, arrival_seeds = [t], []
@@ -924,27 +957,30 @@ def graph(n, edges=()):
 
 
 @pytest.mark.parametrize("edges, src, dst, route, pushes", [
-    # Star with centre 0 (degree 8): once the backward search settles the
-    # centre, its other leaves would cost 9 + 9 > mu = 10 and never settle.
-    (tuple((0, leaf) for leaf in range(1, 9)), 1, 2, ([1, 0, 2], 10), [(1, 0), (9, 0)]),
-    # Line 0-1-2-3: leaf 0 behind the source would cost 3, and 3 plus the
-    # backward key of 3 exceeds mu = 5, so the forward search queues nothing.
-    (((0, 1), (1, 2), (2, 3)), 1, 3, ([1, 2, 3], 5), [(1, 2), (3, 1)]),
+    # Star with centre 0 (degree 8), leaf 1 to leaf 2: the forward side queues the
+    # centre at 1 + 8 = 9. The backward side then reaches it from leaf 2, so mu = 10,
+    # and its key 1 + 8 = 9 plus cf = 9 exceeds mu: the centre is not queued twice.
+    (tuple((0, leaf) for leaf in range(1, 9)), 1, 2, ([1, 0, 2], 10), [(9, 0)]),
+    # Line 0-1-2-3, from 1 to 3: while mu is still infinite the backward side queues
+    # node 2 at 1 + 2 = 3, and the forward side leaf 0 behind the source at 2 + 1 = 3.
+    # Entering node 2 forwards then gives mu = 4 + 1 = 5, and 3 + 3 > 5 stops the
+    # search, so leaf 0 never pops.
+    (((0, 1), (1, 2), (2, 3)), 1, 3, ([1, 2, 3], 5), [(3, 2), (3, 0)]),
 ], ids=["star", "line"])
-def test_search_pushes_no_entry_that_cannot_pop(edges, src, dst, route, pushes):
-    result, pushed = search_recording_pushes(graph(1 + max(b for _, b in edges), edges), src, dst)
+def test_every_push_passes_the_prune_against_the_mu_known_then(edges, src, dst, route, pushes):
+    result, pushed = recording_pushes(shortest_path, graph(1 + max(b for _, b in edges), edges), src, dst)
     assert result == route
-    assert sorted((cost, node) for _, cost, node in pushed) == pushes
+    assert [(cost, node) for _, cost, node in pushed] == pushes
 
 
-def search_recording_pushes(t, src, dst):
-    """``shortest_path(t, src, dst)``, or its ``NoRouteError``, with the (side, cost,
-    node) of every bucket insert after the two starting entries, side "f" or "b"."""
-    search = shortest_path.__code__
-    source, first = inspect.getsourcelines(search)
+def recording_pushes(search, *args):
+    """``search(*args)``, ``shortest_path`` or ``route_costs``, or its ``NoRouteError``, with
+    the (side, cost, node) of every bucket insert after the starting entries, side "f" or "b"."""
+    code = search.__code__
+    source, first = inspect.getsourcelines(code)
     insert_sides = {first + i: "f" if "queue_f" in line else "b"
                     for i, line in enumerate(source) if ".setdefault(cv, []).append(v)" in line}
-    assert sorted(insert_sides.values()) == ["b", "f"]  # one bucket insert per side
+    assert len(insert_sides) == len(set(insert_sides.values())) > 0  # one bucket insert per side
     pushed = []
 
     def record(frame, event, arg):  # a line event fires just before the line runs
@@ -953,9 +989,9 @@ def search_recording_pushes(t, src, dst):
         return record
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: record if frame.f_code is search else None)
+    sys.settrace(lambda frame, event, arg: record if frame.f_code is code else None)
     try:
-        result = shortest_path(t, src, dst)
+        result = search(*args)
     except NoRouteError as exc:
         result = exc
     finally:
@@ -1101,11 +1137,16 @@ def test_route_costs_of_another_graph_or_destination_are_rejected():
 
 @settings(max_examples=200, deadline=None)
 @given(case=search_graphs(), src=st.integers(0, 2**16), dsts=st.lists(st.integers(0, 2**16), max_size=6))
-def test_the_forward_search_queues_each_node_at_most_once(case, src, dsts):
-    # Forward keys rise and every entered node adds its degree, at least 1, so
-    # df[v] is set once: no forward entry can go stale.
+def test_each_side_of_the_search_queues_each_node_at_most_once(case, src, dsts):
+    # Both sides key a node by its cost with its own degree, so every step into v adds
+    # entry[v], at least 1, and the first cost found is final: no entry can go stale,
+    # in either side of shortest_path or in route_costs' whole backward search.
     n, edges = case
     t, s = graph(n, edges), src % n
     for d in {s, n - 1, *(x % n for x in dsts)}:
-        forward = [node for side, _, node in search_recording_pushes(t, s, d)[1] if side == "f"]
-        assert len(forward) == len(set(forward)) and s not in forward
+        pushed = recording_pushes(shortest_path, t, s, d)[1]
+        for side, start in (("f", s), ("b", d)):
+            queued = [node for got, _, node in pushed if got == side]
+            assert len(queued) == len(set(queued)) and start not in queued
+        queued = [node for _, _, node in recording_pushes(route_costs, t, d)[1]]
+        assert len(queued) == len(set(queued)) and d not in queued
