@@ -560,6 +560,9 @@ _worlds = st.one_of(
 )
 
 
+_dt = st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 100.0))
+
+
 def build_world(world, area):
     if isinstance(world, tuple):
         n, p, world_seed = world
@@ -572,8 +575,7 @@ def build_world(world, area):
     world=_worlds,
     area=st.sampled_from([(1000.0, 1000.0), (50.0, 2000.0), (1.0, 1.0)]),
     speeds=_speeds,
-    dts=st.lists(st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 100.0)),
-                 min_size=1, max_size=40),
+    dts=st.lists(_dt, min_size=1, max_size=40),
     seed=st.integers(0, 2**32),
     data=st.data(),
 )
@@ -595,26 +597,23 @@ def test_reading_a_chain_in_any_order_matches_reading_each_step(world, area, spe
     assert all(read[i] == exact_columns(eager[i]) for i in read)
 
 
-_dt = st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 100.0))
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     world=st.one_of(_worlds, st.just(BORDER_WORLD)),
     area=st.sampled_from([(1000.0, 1000.0), (100.0, 50.0), (50.0, 2000.0), (1.0, 1.0)]),
-    speeds=st.tuples(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 50.0)),
-                     st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 50.0))).map(sorted),
+    speeds=st.lists(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 50.0)),
+                    min_size=2, max_size=2).map(lambda s: tuple(sorted(s))),
     steps=st.integers(1, 100),
     dts=st.lists(_dt, min_size=1, max_size=4),  # equal runs of each, in turn
     seed=st.integers(0, 2**32),
 )
-@example(world=BORDER_WORLD, area=(100.0, 50.0), speeds=[1.0, 20.0], steps=60, dts=[0.5, 2.0, 0.5], seed=17)
+@example(world=BORDER_WORLD, area=(100.0, 50.0), speeds=(1.0, 20.0), steps=60, dts=[0.5, 2.0, 0.5], seed=17)
 # BORDER_WORLD's node at (50, 50) is 30 m from its waypoint at 7.5 m a step: a tie lands it at step 4.
-@example(world=BORDER_WORLD, area=(1000.0, 1000.0), speeds=[0.0, 0.0], steps=6, dts=[1.25], seed=0)
+@example(world=BORDER_WORLD, area=(1000.0, 1000.0), speeds=(0.0, 0.0), steps=6, dts=[1.25], seed=0)
 @example(world=[((-5.0, 25.0), (1.0, 0.0), (90.0, 25.0))],  # starts outside the area, heading in
-         area=(100.0, 50.0), speeds=[1.0, 20.0], steps=40, dts=[1.0], seed=17)
-@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=[1e-12, 1e-12], steps=100, dts=[1.0, 3.0], seed=5)
-@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=[0.0, 0.0], steps=50, dts=[1.0], seed=5)
+         area=(100.0, 50.0), speeds=(1.0, 20.0), steps=40, dts=[1.0], seed=17)
+@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=(1e-12, 1e-12), steps=100, dts=[1.0, 3.0], seed=5)
+@example(world=(20, 0.2, 3), area=(1000.0, 1000.0), speeds=(0.0, 0.0), steps=50, dts=[1.0], seed=5)
 def test_a_chain_read_only_at_its_end_matches_the_dataclass_steps(world, area, speeds, steps, dts, seed):
     # One read after up to 100 steps walks each node through long runs of steps with
     # no arrival, the runs the walk folds; a dt that changes mid-chain must end a fold.
@@ -622,8 +621,8 @@ def test_a_chain_read_only_at_its_end_matches_the_dataclass_steps(world, area, s
     fast = slow = t
     for k in range(steps):
         dt = dts[k * len(dts) // steps]
-        fast = step_mobility(fast, dt, tuple(speeds), seed + k)
-        slow = dataclass_step_mobility(slow, dt, tuple(speeds), seed + k)
+        fast = step_mobility(fast, dt, speeds, seed + k)
+        slow = dataclass_step_mobility(slow, dt, speeds, seed + k)
     assert not is_walked(fast)  # the read below is the only walk
     assert exact_columns(fast) == exact_columns(slow)
 
