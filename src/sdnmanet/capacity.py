@@ -111,7 +111,7 @@ def effective_capacity(
 
 def clustered_sliced_capacity(baseline: float, gains: CapacityGains) -> float:
     """Capacity after management uplift: each share scaled by its gain."""
-    if baseline < 0:
+    if not baseline >= 0:  # NaN fails too
         raise ValueError("baseline capacity must be non-negative")
     clustered = baseline * gains.clustered_share * gains.clustered_gain
     sliced = baseline * gains.sliced_share * gains.sliced_gain
@@ -136,7 +136,7 @@ def max_supported_nodes(
     topology for each ``n``. Each ``n`` draws its own graph, so a smaller
     ``n`` may fail where a larger one passes, and no bisection is sound.
     """
-    if per_node_demand <= 0.0:
+    if not per_node_demand > 0.0:  # NaN fails too
         raise ValueError("per-node demand must be positive")
     _check_mode(mode)
     for n in range(n_max, 0, -1):

@@ -16,8 +16,9 @@ from sdnmanet.capacity import (
     max_supported_nodes,
     pairwise_packet_count,
 )
-from sdnmanet.topology import Topology, distance, generate_erdos_renyi
-from test_topology import from_records
+from sdnmanet.topology import Topology, generate_erdos_renyi
+
+from reference_run import from_records, per_edge_packet_count
 
 
 def two_node_topology(gap_m: float) -> Topology:
@@ -37,31 +38,6 @@ def test_pairwise_packets_single_pair_arithmetic():
     t = two_node_topology(100.0)
     params = OverheadParams(pair_coefficient=0.01)
     assert pairwise_packet_count(t, 2.0, params, 1.0) == 2  # round(0.01*100*2*1)
-
-
-def test_pairwise_packets_match_double_loop_oracle():
-    params = OverheadParams(pair_coefficient=0.003)
-    for seed in range(10):
-        t = generate_erdos_renyi(25, 0.3, seed=seed)
-        edge_set = set(t.edges)
-        expected = 0
-        for i in range(25):
-            for j in range(25):
-                if i < j and (i, j) in edge_set:
-                    expected += round(0.003 * distance(t, i, j) * 4.0 * 7.0)
-        assert pairwise_packet_count(t, 4.0, params, 7.0) == expected
-
-
-def per_edge_packet_count(t, mean_speed, params, window_s):
-    """Oracle: the packet count as first written, one Python iteration per edge."""
-    if window_s <= 0.0:
-        raise ValueError("window must be positive")
-    pos = [position for position, _, _ in t.nodes]
-    total = 0
-    for a, b in t.edges:
-        (ax, ay), (bx, by) = pos[a], pos[b]
-        total += round(params.pair_coefficient * math.hypot(ax - bx, ay - by) * mean_speed * window_s)
-    return total
 
 
 _coordinate = st.one_of(st.floats(0.0, 1000.0), st.floats(1e6 - 1.0, 1e6 + 1.0),
@@ -223,6 +199,13 @@ def test_clustered_sliced_uplift_is_1_35():
     assert clustered_sliced_capacity(1000.0, CapacityGains()) == pytest.approx(1350.0)
 
 
+@pytest.mark.parametrize("baseline", [-1.0, math.nan], ids=["negative", "nan"])
+def test_clustered_sliced_capacity_rejects_a_bad_baseline(baseline):
+    # A NaN baseline used to pass a "< 0" guard and come back as nan.
+    with pytest.raises(ValueError, match="baseline capacity must be non-negative"):
+        clustered_sliced_capacity(baseline, CapacityGains())
+
+
 def test_sdn_capacity_beats_traditional_from_30_nodes():
     from sdnmanet.simulator import ScenarioConfig
 
@@ -288,8 +271,10 @@ def test_supported_nodes_match_an_exhaustive_scan(mode, demand, controller):
 
 def test_supported_nodes_rejects_bad_inputs():
     # A bad mode is checked for every mode-taking function in test_modes.py.
-    with pytest.raises(ValueError):
-        max_supported_nodes("sdn", 0.0, 15_000.0, OverheadParams(), _generator(), 5.5)
+    # A NaN demand used to pass a "<= 0" guard, and the scan returned 0.
+    for demand in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="per-node demand must be positive"):
+            max_supported_nodes("sdn", demand, 15_000.0, OverheadParams(), _generator(), 5.5)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CapacityGains)])

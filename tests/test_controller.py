@@ -1,7 +1,6 @@
 """Controller backlog, queue, and latency-curve tests."""
 
 import math
-import random
 import statistics
 import tracemalloc
 
@@ -11,12 +10,12 @@ from hypothesis import strategies as st
 
 from sdnmanet.controller import (
     ControllerConfig,
-    QueueOutcome,
     fluid_backlog,
     max_latency_model,
     simulate_queue,
 )
 
+from reference_run import list_based_simulate_queue
 from test_simulator import r_squared
 
 
@@ -75,34 +74,6 @@ def test_final_backlog_within_one_sample_interval_matches_fluid_bound():
     tolerance = 6.0 * math.sqrt((170 * cfg.event_rate_lambda + cfg.capacity_mu) * 0.04) + 3.0
     for s in range(10):
         assert abs(simulate_queue(170, cfg, seed=s).final_backlog - expected) <= tolerance
-
-
-def list_based_simulate_queue(n, cfg, seed):
-    """Oracle: the exact queue as first written, drawing and holding every
-    arrival up to the horizon in a list."""
-    if n < 0:
-        raise ValueError("node count must be non-negative")
-    rng = random.Random(seed)
-    horizon = cfg.sim_duration_s
-    rate = n * cfg.event_rate_lambda
-    arrivals = []
-    if rate > 0:
-        t = -math.log(1.0 - rng.random()) / rate
-        while t <= horizon:
-            arrivals.append(t)
-            t += -math.log(1.0 - rng.random()) / rate
-    service = 1.0 / cfg.capacity_mu
-    departures = []
-    latencies = []
-    prev_done = 0.0
-    for a in arrivals:
-        done = (a if a > prev_done else prev_done) + service
-        prev_done = done
-        if done <= horizon:
-            departures.append(done)
-            latencies.append((done - a) * 1000.0)
-    return QueueOutcome(served_latencies_ms=tuple(latencies),
-                        final_backlog=len(arrivals) - len(departures))
 
 
 @settings(max_examples=150, deadline=None)

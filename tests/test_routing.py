@@ -81,33 +81,6 @@ def test_sdn_path_cost_matches_brute_force():
             assert sdn_path_cost(t, PathCostWeights(w), src, dst) == pytest.approx(expected[0])
 
 
-def test_sdn_path_cost_never_beaten_by_any_simple_path():
-    rng = random.Random(31)
-    for trial in range(30):
-        n = rng.randint(3, 8)
-        t = generate_erdos_renyi(n, 0.7, seed=trial + 900)
-        w = {i: rng.uniform(0.5, 3.0) for i in range(n)}
-        src, dst = rng.sample(range(n), 2)
-        try:
-            best = sdn_path_cost(t, PathCostWeights(w), src, dst)
-        except NoRouteError:
-            continue
-        # cost of one arbitrary valid path found by DFS
-        stack = [(src, (src,))]
-        seen_path = None
-        while stack:
-            node, path = stack.pop()
-            if node == dst:
-                seen_path = path
-                break
-            for nxt in t._adjacency[node]:
-                if nxt not in path:
-                    stack.append((nxt, path + (nxt,)))
-        assert seen_path is not None
-        arbitrary = sum(w[i] * len(t._adjacency[i]) for i in seen_path)
-        assert best <= arbitrary + 1e-9
-
-
 def test_path_weights_must_be_positive():
     with pytest.raises(ValueError):
         PathCostWeights({0: 0.0})

@@ -2,12 +2,11 @@
 
 import dataclasses
 import math
-import random
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdnmanet import controller as ctl
@@ -15,11 +14,12 @@ from sdnmanet import simulator
 from sdnmanet.controller import fluid_backlog
 from sdnmanet.config import _REGISTRY, parse_config
 from sdnmanet.econ import CostParams
-from sdnmanet.rng import derive_seed, rand_index
+from sdnmanet.rng import derive_seed
 from sdnmanet.simulator import (
     ComparisonRow,
     MetricsReport,
     ScenarioConfig,
+    TopologySettings,
     _sample_hops,
     compare,
     pdr_model,
@@ -28,9 +28,9 @@ from sdnmanet.simulator import (
     sweep,
     throughput_model,
 )
-from sdnmanet.topology import NoRouteError, generate_erdos_renyi, route_costs
+from sdnmanet.topology import generate_erdos_renyi, route_costs
 
-from test_topology import heap_of_paths_shortest_path
+from reference_run import reference_hops, reference_run
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -333,83 +333,53 @@ def test_config_validation_names_field_paths():
 def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n, flows, monkeypatch):
     trees = []
     monkeypatch.setattr(simulator, "route_costs", lambda t, dst: trees.append(dst) or route_costs(t, dst))
-    cfg = small_config(flow_samples=flows)
     topo = generate_erdos_renyi(n, 0.03, seed=11)
-    hops, total = _sample_hops(cfg, topo, 5)
-    rng, unit, expected = random.Random(5), {i: 1 for i in range(n)}, []
-    for _ in range(flows):
-        src = rand_index(rng, n)
-        dst = rand_index(rng, n - 1)
-        dst += dst >= src
-        try:
-            expected.append(len(heap_of_paths_shortest_path(topo, src, dst, unit)[0]) - 1)
-        except NoRouteError:
-            pass
-    assert total == flows and hops == expected
+    hops, total = _sample_hops(small_config(flow_samples=flows), topo, 5)
+    assert total == flows and hops == reference_hops(topo, flows, 5)
     assert max(hops) > 2
     assert (len(trees) > 0) == (flows == 1000) and len(trees) == len(set(trees))
 
 
-def component_roots(n, edges):
-    """Oracle: union-find over the edge list; the root of each node's component."""
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in edges:
-        parent[root(a)] = root(b)
-    return [root(i) for i in range(n)]
+def exact_fields(report):
+    """Every field of a report, each float as ``float.hex`` so -0.0 and NaN count."""
+    return {f.name: float.hex(v) if type(v := getattr(report, f.name)) is float else v
+            for f in dataclasses.fields(report)}
 
 
-def bfs_hops(n, edges, src):
-    """Oracle: fewest hops from ``src`` to every node it reaches."""
-    adjacent = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-    hops, frontier = {src: 0}, [src]
-    while frontier:
-        following = []
-        for u in frontier:
-            for v in adjacent[u]:
-                if v not in hops:
-                    hops[v] = hops[u] + 1
-                    following.append(v)
-        frontier = following
-    return hops
-
-
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    n=st.integers(1, 80),
-    # sparse values split the graph into many components
-    p=st.one_of(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.1]), st.floats(0.0, 0.15)),
-    graph_seed=st.integers(0, 2**32),
-    flow_seed=st.integers(0, 2**32),
-    flows=st.integers(1, 200),
+    n=st.one_of(st.sampled_from([1, 2, 3, 10, 40]), st.integers(1, 40)),
+    # empty, sparse (many unroutable flows) and complete graphs, and anything between
+    p=st.one_of(st.sampled_from([0.0, 0.05, 0.2, 1.0]), st.floats(0.0, 1.0)),
+    speeds=st.one_of(st.just((0.0, 0.0)), st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2).map(sorted)),
+    dt=st.sampled_from([0.5, 1.0, 7.0]),
+    duration=st.sampled_from([7.0, 30.0]),
+    flows=st.one_of(st.sampled_from([1, 30]), st.integers(1, 60)),
+    # (capacity_mu, event_rate_lambda): overloaded, nearly idle and idle controllers
+    load=st.sampled_from([(10.0, 20.0), (10.0, 0.5), (500.0, 0.5), (10.0, 0.0)]),
+    mode=st.sampled_from(["traditional", "sdn"]),
+    seed=st.integers(0, 2**64 - 1),
 )
-def test_sampled_flows_are_routed_exactly_when_both_ends_share_a_component(
-    n, p, graph_seed, flow_seed, flows
-):
-    topo = generate_erdos_renyi(n, p, graph_seed)
-    hops, total = _sample_hops(small_config(flow_samples=flows), topo, flow_seed)
-    if n < 2:
-        assert (hops, total) == ([], 0)
-        return
-    roots, rng, routable = component_roots(n, topo.edges), random.Random(flow_seed), []
-    for _ in range(flows):  # the (src, dst) draws of _sample_hops
-        src = rand_index(rng, n)
-        dst = rand_index(rng, n - 1)
-        dst += dst >= src
-        if roots[src] == roots[dst]:
-            routable.append((src, dst))
-    assert total == flows and len(hops) == len(routable)
-    for count, (src, dst) in zip(hops, routable):
-        assert count >= bfs_hops(n, topo.edges, src)[dst]
+@example(n=1, p=0.5, speeds=(1.0, 10.0), dt=1.0, duration=30.0, flows=30, load=(10.0, 20.0), mode="sdn", seed=42)
+@example(n=2, p=1.0, speeds=(0.0, 0.0), dt=0.5, duration=7.0, flows=30, load=(500.0, 0.5), mode="sdn", seed=7)
+@example(n=2, p=0.0, speeds=(1.0, 10.0), dt=7.0, duration=30.0, flows=30, load=(10.0, 20.0),
+         mode="traditional", seed=7)
+@example(n=40, p=1.0, speeds=(1.0, 10.0), dt=1.0, duration=30.0, flows=60, load=(10.0, 20.0),
+         mode="traditional", seed=3)  # saturated by flooding
+def test_run_scenario_matches_the_reference_run(n, p, speeds, dt, duration, flows, load, mode, seed):
+    # Every field agrees bit for bit. The backlog agrees when the exact queue ends empty;
+    # otherwise a request is in service at the horizon and the fast queue draws the rest as
+    # one Poisson count, whose law test_controller.py checks by a Kolmogorov-Smirnov test.
+    cfg = ScenarioConfig(sim_duration_s=duration, flow_samples=flows,
+                         topology=TopologySettings(link_probability=p, speed_min_mps=speeds[0],
+                                                   speed_max_mps=speeds[1], mobility_step_s=dt),
+                         controller=ctl.ControllerConfig(*load, sim_duration_s=duration))
+    got, expected = exact_fields(run_scenario(cfg, n, mode, seed)), exact_fields(reference_run(cfg, n, mode, seed))
+    ended_empty = expected["queue_backlog"] == float.hex(0.0)
+    assert (got["queue_backlog"] == float.hex(0.0)) == ended_empty
+    if not ended_empty:
+        del got["queue_backlog"], expected["queue_backlog"]
+    assert got == expected
 
 
 def build_with(path, value):

@@ -1,7 +1,6 @@
 """Graph generation, mobility, distance, degree, and path tests."""
 
 import dataclasses
-import heapq
 import inspect
 import itertools
 import math
@@ -14,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdnmanet import topology
-from sdnmanet.rng import uniform_in
 from sdnmanet.topology import (
     NoRouteError,
     Topology,
@@ -26,11 +24,13 @@ from sdnmanet.topology import (
 )
 from sdnmanet.routing import PathCostWeights, sdn_path_cost
 
+from reference_run import dataclass_step_mobility, from_records, heap_of_paths_routes, reference_graph
+
 
 def brute_force_min_cost(t, src, dst, weights):
     """Independent oracle: enumerate every simple path by DFS."""
     best = None
-    entry = {i: weights[i] * len(t._adjacency[i]) for i in range(len(t.nodes))}
+    entry = {i: weights[i] * degree for i, degree in enumerate(t._degree)}
 
     def walk(node, visited, path, cost):
         nonlocal best
@@ -48,11 +48,6 @@ def brute_force_min_cost(t, src, dst, weights):
 
     walk(src, {src}, [src], entry[src])
     return best
-
-
-def from_records(records, edges=(), area=(10.0, 10.0)):
-    """A topology whose columns are read off ``(position, velocity, waypoint)`` records."""
-    return Topology(*zip(*records), edges=edges, area=area)
 
 
 def line_topology(weights=None):
@@ -76,9 +71,8 @@ def diamond_topology():
     (((0, 1), (1, 2), (0, 1)), "duplicate edge"),
 ], ids=["self-loop", "out-of-range", "reversed", "duplicate"])
 def test_topology_rejects_malformed_edges(edges, message):
-    nodes = line_topology().nodes
     with pytest.raises(ValueError, match=message):
-        from_records(nodes, edges)
+        dataclasses.replace(line_topology(), edges=edges)
 
 
 COLUMNS = ("positions", "velocities", "waypoints")
@@ -116,7 +110,7 @@ def test_topology_fields_cannot_be_reassigned():
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.edges = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        t.nodes = []
+        t.positions = ()
     assert len(t.edges) == 10 and len(t._adjacency[0]) == 4
 
 
@@ -129,11 +123,11 @@ def test_topology_nodes_cannot_grow():
         column.append(column[0])  # the caller's lists are copied, not kept
     stepped = step_mobility(generate_erdos_renyi(5, 1.0, seed=1), 1.0, (1.0, 2.0), seed=2)
     for topo in (t, generate_erdos_renyi(5, 1.0, seed=1), stepped):
-        for column in [topo.nodes] + [getattr(topo, name) for name in COLUMNS]:
+        for column in [getattr(topo, name) for name in COLUMNS]:
             assert isinstance(column, tuple)
             with pytest.raises(AttributeError):
                 column.append(column[0])
-    assert len(t.nodes) == len(t.positions) == 3 and t._adjacency[2] == ()
+    assert len(t._degree) == len(t.positions) == 3 and t._adjacency[2] == ()
 
 
 def per_edge_index(n, edges):
@@ -264,34 +258,6 @@ def test_handshake_lemma_on_random_graphs():
         assert sum(len(t._adjacency[i]) for i in range(40)) == 2 * len(t.edges)
 
 
-def per_pair_erdos_renyi(n, p, seed, area=(1000.0, 1000.0)):
-    """Oracle: G(n, p) as first written, one draw per node pair after the positions."""
-    rng = random.Random(seed)
-    nodes = []
-    for _ in range(n):
-        pos = (uniform_in(rng, 0.0, area[0]), uniform_in(rng, 0.0, area[1]))
-        nodes.append((pos, (0.0, 0.0), pos))
-    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-    return from_records(nodes, tuple(edges), area)
-
-
-def skip_walk_edges(n, p, seed):
-    """Oracle for the pair walk: the same geometric gaps, indexed into a list of all pairs."""
-    rng = random.Random(seed)
-    for _ in range(2 * n):  # the positions' draws
-        rng.random()
-    pairs = list(itertools.combinations(range(n), 2))
-    if p == 0.0 or p == 1.0:
-        return tuple(pairs) if p == 1.0 else ()
-    edges, k = [], -1
-    while True:
-        gap = math.log(1.0 - rng.random()) / math.log1p(-p)
-        if k + 1 + gap >= len(pairs):
-            return tuple(edges)
-        k += 1 + math.floor(gap)
-        edges.append(pairs[k])
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 45),
@@ -300,9 +266,8 @@ def skip_walk_edges(n, p, seed):
     area=st.tuples(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0)),
 )
 def test_skip_sampling_keeps_positions_and_walks_every_pair(n, p, seed, area):
-    t = generate_erdos_renyi(n, p, seed, area=area)
-    assert exact_columns(t) == exact_columns(per_pair_erdos_renyi(n, p, seed, area=area))
-    assert t.edges == skip_walk_edges(n, p, seed)
+    t, expected = generate_erdos_renyi(n, p, seed, area=area), reference_graph(n, p, seed, area)
+    assert exact_columns(t) == exact_columns(expected) and t.edges == expected.edges
     assert list(t.edges) == sorted(set(t.edges))  # unique, a < b, lexicographic
 
 
@@ -353,14 +318,14 @@ def test_linear_motion_toward_waypoint():
     node = ((0.0, 0.0), (5.0, 0.0), (10.0, 0.0))
     t = from_records([node], area=(20.0, 20.0))
     stepped = step_mobility(t, 1.0, (1.0, 1.0), seed=2)
-    assert stepped.positions == ((5.0, 0.0),) and stepped.nodes[0][0] == (5.0, 0.0)
+    assert stepped.positions == ((5.0, 0.0),)
 
 
 def test_mobility_preserves_nodes_and_bounds():
     t = generate_erdos_renyi(15, 0.2, seed=3, area=(100.0, 80.0))
     for step in range(1000):
         t = step_mobility(t, 1.0, (1.0, 10.0), seed=step)
-    assert len(t.nodes) == 15
+    assert len(t.positions) == 15
     for x, y in t.positions:
         assert 0.0 <= x <= 100.0
         assert 0.0 <= y <= 80.0
@@ -404,7 +369,7 @@ def test_topology_invariants_hold_under_mobility(n, p, area, speeds, dt, steps, 
     for k in range(steps):
         t = step_mobility(t, dt, tuple(speeds), seed + k)
     assert t.edges == start.edges
-    fresh = from_records(t.nodes, t.edges, area)
+    fresh = Topology(t.positions, t.velocities, t.waypoints, t.edges, area)
     assert [t._adjacency[i] for i in range(n)] == [fresh._adjacency[i] for i in range(n)]
     for x, y in t.positions:
         assert 0.0 <= x <= area[0]
@@ -438,42 +403,6 @@ def test_mobility_rejects_non_finite_min_speed(bad):
 def test_mobility_rejects_non_finite_max_speed(bad):
     with pytest.raises(ValueError, match="max speed must be finite"):
         step_mobility(generate_erdos_renyi(3, 1.0, seed=1), 1.0, (1.0, bad), seed=2)
-
-
-def dataclass_step_mobility(t, dt, speed_range, seed):
-    """Oracle: the mobility step as first written, keyword-built nodes included."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    lo, hi = speed_range
-    if not 0.0 <= lo <= hi:
-        raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
-    rng = random.Random(seed)
-    width, height = t.area
-
-    def uniform_in(low, high):
-        return low + (high - low) * rng.random()
-
-    def euclid(p, q):
-        return math.hypot(p[0] - q[0], p[1] - q[1])
-
-    moved = []
-    for pos, vel, wp in t.nodes:
-        speed = math.hypot(*vel)
-        dist_to_wp = euclid(pos, wp)
-        if speed * dt >= dist_to_wp:
-            pos = wp
-            wp = (uniform_in(0.0, width), uniform_in(0.0, height))
-            speed = uniform_in(lo, hi) if hi > lo else lo
-            leg = euclid(pos, wp)
-            if speed > 0.0 and leg > 0.0:
-                vel = ((wp[0] - pos[0]) / leg * speed, (wp[1] - pos[1]) / leg * speed)
-            else:
-                vel = (0.0, 0.0)
-        else:
-            pos = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt)
-        pos = (min(max(pos[0], 0.0), width), min(max(pos[1], 0.0), height))
-        moved.append((pos, vel, wp))
-    return from_records(moved, t.edges, t.area)
 
 
 def exact_columns(t):
@@ -650,7 +579,7 @@ def test_a_stepped_topology_seeds_one_generator_per_step_with_an_arrival(monkeyp
     assert seeded == []
     assert exact_columns(fast) == exact_columns(slow[-1])
     assert sorted(seeded) == arrival_seeds
-    fast.nodes, fast.edge_weight  # the columns are kept: no second walk
+    fast.velocities, fast.edge_weight  # the columns are kept: no second walk
     assert sorted(seeded) == arrival_seeds
 
     seeded.clear()
@@ -669,7 +598,8 @@ def test_a_stepped_topology_compares_and_hashes_as_its_rebuilt_world():
             t = step_mobility(t, 2.0, (1.0, 5.0), seed=40 + k)
         return t
 
-    rebuilt = from_records(stepped(12).nodes, stepped(12).edges, (1000.0, 1000.0))
+    walked = stepped(12)
+    rebuilt = Topology(walked.positions, walked.velocities, walked.waypoints, walked.edges, walked.area)
     assert stepped(12) == rebuilt and rebuilt == stepped(12)
     assert hash(stepped(12)) == hash(rebuilt)
     assert stepped(11) != rebuilt and stepped(13) != stepped(12)
@@ -817,33 +747,18 @@ def test_shortest_path_matches_exhaustive_oracle():
         assert sdn_path_cost(t, PathCostWeights(random_weights), src, dst) == pytest.approx(weighted, rel=1e-12)
 
 
-def heap_of_paths_shortest_path(t, src, dst, node_weight):
-    """Oracle: the search as first written, pushing every unsettled neighbour."""
-    n = len(t.nodes)
-    entry = [node_weight[i] * len(t._adjacency[i]) for i in range(n)]
-    heap = [(entry[src], (src,))]
-    settled = set()
-    while heap:
-        cost, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in settled:
-            continue
-        settled.add(u)
-        if u == dst:
-            return list(path), cost
-        for v in t._adjacency[u]:
-            if v not in settled:
-                heapq.heappush(heap, (cost + entry[v], path + (v,)))
-    raise NoRouteError(f"no route from {src} to {dst}")
-
-
-def route_or_none(search, *args):
-    """The route, its cost and the cost's type (int weights give int costs)."""
+def route_or_none(*args):
+    """``shortest_path(*args)``'s route, cost and the cost's type, or None without a route."""
     try:
-        path, cost = search(*args)
+        path, cost = shortest_path(*args)
     except NoRouteError:
         return None
     return path, cost, type(cost)
+
+
+def typed(route):
+    """An oracle's ``(route, cost)`` as ``route_or_none`` gives it, or None."""
+    return route and (*route, type(route[1]))
 
 
 def path_cost_or_none(t, src, dst, weights):
@@ -877,10 +792,10 @@ def assert_every_destination_matches(n, p, graph_seed, weights, src):
     unit = {i: 1 for i in range(n)}
     w = {i: 1.0 if weights == "unit" else weights[i] for i in range(n)}
     src %= n
+    by_unit, by_weight = heap_of_paths_routes(t, src, unit), heap_of_paths_routes(t, src, w)
     for dst in range(n):  # src itself and, on sparse graphs, unreachable nodes included
-        expected = route_or_none(heap_of_paths_shortest_path, t, src, dst, unit)
-        assert route_or_none(shortest_path, t, src, dst) == expected
-        expected = route_or_none(heap_of_paths_shortest_path, t, src, dst, w)
+        assert route_or_none(t, src, dst) == typed(by_unit.get(dst))
+        expected = typed(by_weight.get(dst))
         assert path_cost_or_none(t, src, dst, w) == (expected and expected[1:])
 
 
@@ -940,7 +855,8 @@ def test_default_unit_weights_match_explicit_unit_weights(n, p, graph_seed, src)
 
 def test_default_unit_weights_on_an_isolated_node_and_a_line():
     line = line_topology()
-    t = from_records(line.nodes + line.nodes[:1], line.edges, line.area)
+    t = Topology(*(column + column[:1] for column in (line.positions, line.velocities, line.waypoints)),
+                 line.edges, line.area)
     assert shortest_path(t, 3, 3) == ([3], 0)  # node 3 is isolated: entry 0
     path, cost = shortest_path(t, 0, 2)
     assert (path, cost, type(cost)) == ([0, 1, 2], 4, int)
@@ -952,7 +868,8 @@ def test_default_unit_weights_on_an_isolated_node_and_a_line():
 
 def graph(n, edges=()):
     """A topology of ``n`` nodes at the origin, joined by ``edges``."""
-    return from_records(line_topology().nodes[:1] * n, tuple(edges))
+    origin = ((0.0, 0.0),) * n
+    return Topology(origin, origin, origin, tuple(edges), (10.0, 10.0))
 
 
 @pytest.mark.parametrize("edges, src, dst, route, pushes", [
@@ -998,65 +915,6 @@ def recording_pushes(search, *args):
     return result, pushed
 
 
-def heap_bidirectional_search(adjacency, entry, src, dst):
-    """Oracle: the unit-weight bidirectional search on two heaps of (cost, node)."""
-    n, inf = len(entry), math.inf
-    df, db = [inf] * n, [inf] * n
-    df[src], db[dst] = entry[src], 0
-    mu = entry[src] if src == dst else inf
-    heap_f, heap_b, settled_f = [(entry[src], src)], [(0, dst)], []
-    pop, push = heapq.heappop, heapq.heappush
-    while heap_f and heap_b:
-        top_f, top_b = heap_f[0][0], heap_b[0][0]
-        if top_f + top_b > mu:
-            break
-        if top_f <= top_b:
-            c, u = pop(heap_f)
-            if c > df[u]:  # stale: u settled cheaper
-                continue
-            settled_f.append(u)
-            for v in adjacency[u]:
-                cv = c + entry[v]
-                if cv < df[v]:
-                    df[v] = cv
-                    if cv + db[v] < mu:
-                        mu = cv + db[v]
-                    if cv + top_b <= mu:
-                        push(heap_f, (cv, v))
-        else:
-            c, u = pop(heap_b)
-            if c > db[u]:
-                continue
-            cv = c + entry[u]
-            for v in adjacency[u]:
-                if cv < db[v]:
-                    db[v] = cv
-                    if df[v] + cv < mu:
-                        mu = df[v] + cv
-                    if top_f + cv <= mu:
-                        push(heap_b, (cv, v))
-    if mu == inf:
-        raise NoRouteError(f"no route from {src} to {dst}")
-    for u in reversed(settled_f):  # latest first: a prefix node's successors come before it
-        cost = df[u]
-        for v in adjacency[u]:
-            if cost + entry[v] + db[v] == mu:
-                db[u] = mu - cost
-                break
-    path, u, cost = [src], src, entry[src]
-    while u != dst:
-        for v in adjacency[u]:
-            if cost + entry[v] + db[v] == mu:
-                break
-        else:
-            raise RuntimeError(f"route walk from {src} to {dst} stuck at node {u}")
-        if len(path) == n:
-            raise RuntimeError(f"route walk from {src} to {dst} exceeds {n} nodes")
-        path.append(v)
-        u, cost = v, cost + entry[v]
-    return path, cost
-
-
 @st.composite
 def search_graphs(draw):
     """Edge lists for the unit search, each family aimed at one of its cases."""
@@ -1082,46 +940,27 @@ def search_graphs(draw):
     return n, sorted(tuple(sorted((order[a], order[b]))) for a, b in edges)
 
 
-def route_cost_and_type_or_error(search, *args):
-    try:
-        path, cost = search(*args)
-    except NoRouteError as exc:
-        return "NoRouteError", str(exc)
-    return path, cost, type(cost)
-
-
 @settings(max_examples=200, deadline=None)
-@given(case=search_graphs(), src=st.integers(0, 2**16))
-def test_bucket_search_matches_the_heap_search(case, src):
-    n, edges = case
-    t = graph(n, edges)
-    adjacency = {i: t._adjacency[i] for i in range(n)}
-    entry = [len(adjacency[i]) for i in range(n)]
-    for s in {src % n, n - 1}:  # node n - 1 is isolated when the case added one
-        for d in range(n):  # s itself, and the isolated node whenever there is one
-            expected = route_cost_and_type_or_error(heap_bidirectional_search, adjacency, entry, s, d)
-            assert route_cost_and_type_or_error(shortest_path, t, s, d) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=search_graphs(), srcs=st.lists(st.integers(0, 2**16), max_size=4))
+@given(case=search_graphs(), srcs=st.lists(st.integers(0, 2**16), min_size=1, max_size=4))
+# Min-cost ties through a node whose key plus the other side's key is exactly mu: a prune
+# with < in place of <= loses the smallest route, 2 to 3 forward and 0 to 3 backward.
+@example(case=(9, [(0, 2), (0, 6), (0, 7), (1, 2), (1, 6), (3, 5), (3, 6), (3, 8), (4, 6), (5, 7), (6, 8)]), srcs=[0])
+@example(case=(7, [(0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (2, 6), (4, 5)]), srcs=[0])
 def test_route_costs_route_every_flow_as_the_search_does(case, srcs):
-    # Every pair up to 41 nodes (dense, star and cycle cases, and small sparse ones);
-    # above that every destination, with the drawn sources, itself and node n - 1,
-    # isolated when the case added one (entry 0: a route to it from itself costs 0).
+    # Every pair up to 41 nodes (dense, star and cycle cases, and small sparse ones); above that
+    # every destination from the drawn sources and node n - 1, isolated when the case added one
+    # (entry 0: a route to it from itself costs 0).
     n, edges = case
     t = graph(n, edges)
-    adjacency = {i: t._adjacency[i] for i in range(n)}
-    entry = [len(adjacency[i]) for i in range(n)]
+    sources = range(n) if n <= 41 else {n - 1, *(x % n for x in srcs)}
+    expected = {s: heap_of_paths_routes(t, s, [1] * n) for s in sources}
     for d in range(n):
         tree = route_costs(t, d)
         assert len(tree) == n and tree[d] == 0
-        for s in range(n) if n <= 41 else {d, n - 1, *(x % n for x in srcs)}:
-            searched = route_cost_and_type_or_error(shortest_path, t, s, d)
-            assert route_cost_and_type_or_error(shortest_path, t, s, d, tree) == searched
-            expected = route_cost_and_type_or_error(heap_bidirectional_search, adjacency, entry, s, d)
-            assert searched == expected
-            assert tree[s] == (math.inf if expected[0] == "NoRouteError" else expected[1] - entry[s])
+        for s in sources:
+            route = expected[s].get(d)
+            assert route_or_none(t, s, d) == route_or_none(t, s, d, tree) == typed(route)
+            assert tree[s] == (math.inf if route is None else route[1] - t._degree[s])
 
 
 def test_route_costs_of_another_graph_or_destination_are_rejected():
