@@ -69,38 +69,41 @@ def pairwise_packet_count(
     """Control packets generated along existing links over ``window_s``.
 
     Each edge contributes ``round(coefficient * distance * mean_speed *
-    window)`` packets (banker's rounding, like the built-in).
+    window)`` packets (banker's rounding, like the built-in). Raises
+    ``ValueError`` for a non-positive window or a negative or NaN mean speed.
     """
     if window_s <= 0.0:
         raise ValueError("window must be positive")
+    if not mean_speed >= 0:  # NaN fails too
+        raise ValueError("mean speed must be non-negative")
     pos, dist, coefficient = t.positions, math.dist, params.pair_coefficient
     return sum([round(coefficient * dist(pos[a], pos[b]) * mean_speed * window_s) for a, b in t.edges])
 
 
 def effective_capacity(
     mode: str,
-    t: Topology,
+    n: int,
+    packets: int,
     node_capacity: float,
-    mean_speed: float,
     params: OverheadParams,
     controller_capacity: float,
     window_s: float,
 ) -> CapacityBreakdown:
-    """Capacity breakdown of ``t`` in ``mode``, every node carrying ``node_capacity``.
+    """Capacity breakdown of ``n`` nodes in ``mode``, each carrying ``node_capacity``,
+    that send ``packets`` control packets over ``window_s``.
 
-    The overhead rate is the pairwise packet count over ``window_s`` times
-    ``packet_size_bits``, per second; traditional mode scales it by the
-    flooding multiplier. It comes off the node capacity sum, plus the
-    controller's capacity in SDN mode only, and the result is clamped at
-    zero, with ``saturated`` set when the overhead exceeds the capacity.
-    Raises ``ValueError`` for an unknown mode, or for a negative or NaN node
-    or controller capacity or mean speed.
+    The overhead rate is ``packets`` times ``packet_size_bits``, per second;
+    traditional mode scales it by the flooding multiplier. It comes off the
+    node capacity sum, plus the controller's capacity in SDN mode only, and
+    the result is clamped at zero, with ``saturated`` set when the overhead
+    exceeds the capacity. Raises ``ValueError`` for an unknown mode, a negative
+    or NaN capacity or packet count, or a non-positive window.
     """
     _check_mode(mode)
-    if not (controller_capacity >= 0 and mean_speed >= 0 and node_capacity >= 0):  # NaN fails too
-        raise ValueError("capacities and mean speed must be non-negative")
-    rate = pairwise_packet_count(t, mean_speed, params, window_s) * params.packet_size_bits / window_s
-    node_sum = len(t._degree) * node_capacity
+    if not (controller_capacity >= 0 and node_capacity >= 0 and packets >= 0 and window_s > 0):  # NaN fails
+        raise ValueError("capacities and packet count must be non-negative, and the window positive")
+    rate = packets * params.packet_size_bits / window_s
+    node_sum = n * node_capacity
     if mode == "sdn":
         controller, overhead = controller_capacity, rate
     else:
@@ -140,8 +143,8 @@ def max_supported_nodes(
         raise ValueError("per-node demand must be positive")
     _check_mode(mode)
     for n in range(n_max, 0, -1):
-        t = topology_generator(n)
-        breakdown = effective_capacity(mode, t, node_capacity, mean_speed, params, controller_capacity, 1.0)
+        packets = pairwise_packet_count(topology_generator(n), mean_speed, params, 1.0)
+        breakdown = effective_capacity(mode, n, packets, node_capacity, params, controller_capacity, 1.0)
         if breakdown.effective >= n * per_node_demand:
             return n
     return 0

@@ -33,9 +33,9 @@ from .simulator import (
     RESOURCE_COLUMNS,
     MetricsReport,
     ScenarioConfig,
+    build_world,
     capacity_breakdown,
     compare,
-    evolve_topology,
     run_scenario,
     sweep,
 )
@@ -127,10 +127,10 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    topo = evolve_topology(cfg, args.n, cfg.seed)
+    world = build_world(cfg, args.n, cfg.seed)
     rows = []
     for mode in MODES:
-        b = capacity_breakdown(cfg, mode, topo)
+        b = capacity_breakdown(cfg, mode, world)
         rows.append([mode, b.node_sum, b.controller, b.overhead, b.effective, b.saturated])
     sys.stdout.write(render_csv(
         ["mode", "node_sum_bps", "controller_bps", "overhead_bps", "effective_bps", "saturated"],

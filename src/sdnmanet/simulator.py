@@ -1,11 +1,15 @@
 """Sweep harness: runs paired traditional/SDN scenarios across node counts.
 
-One scenario run builds a seeded random graph, walks it through
-random-waypoint mobility, samples flows for hop statistics, and evaluates
-the latency, delivery, throughput, overhead, capacity, queueing, and
-resource models for the requested mode. The sweep averages every metric
-over a configurable number of seeds per node count and the comparison step
-reduces the paired results to SDN-versus-traditional ratios.
+A scenario run is a graph of stages. ``build_world(cfg, n, seed)`` runs the
+mode-free ones into a ``World``: the graph (reads n and the seed), its
+random-waypoint motion (the graph's positions), the flow sample (the graph's
+adjacency only) and the control packet count (the final positions).
+``evaluate(cfg, world, mode)`` runs the per-mode ones: the controller queue
+(n and the seed, SDN only), then the closed-form latency, delivery,
+throughput, overhead, capacity and resource models (the world's n, hop
+counts, edge count and packet count). ``run_scenario`` composes the two.
+The sweep averages every metric over a configurable number of seeds per
+node count, and the comparison reduces the pairs to SDN-versus-traditional ratios.
 
 Scale couplings declared here rather than measured anywhere: the route
 break rate grows with mean node speed and with network size
@@ -215,15 +219,12 @@ def evolve_topology(cfg: ScenarioConfig, n: int, seed: int) -> Topology:
     return topo
 
 
-def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[int], int]:
-    """Hop lengths of the cost-optimal path for sampled flows.
-
-    Returns (hop counts of routable flows, total flows sampled); flows with
-    no route are counted in the total only, and become lost packets.
-    """
+def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> list[int]:
+    """Hop lengths of the cost-optimal paths of the routable sampled flows, in flow order;
+    a flow with no route is left out (its packets are lost), and one node samples none."""
     n = len(topo._degree)
     if n < 2:
-        return [], 0
+        return []
     rng = random.Random(seed)
     flows_to: dict[int, list[tuple[int, int]]] = {}  # dst -> (flow index, src), in flow order
     for flow in range(cfg.flow_samples):
@@ -237,57 +238,72 @@ def _sample_hops(cfg: ScenarioConfig, topo: Topology, seed: int) -> tuple[list[i
                 hops[flow] = len(shortest_path(topo, src, dst, tree)[0]) - 1
             except NoRouteError:
                 pass
-    return [hops[flow] for flow in sorted(hops)], cfg.flow_samples
+    return [hops[flow] for flow in sorted(hops)]
 
 
-def capacity_breakdown(cfg: ScenarioConfig, mode: str, topo: Topology) -> cap.CapacityBreakdown:
-    """Effective capacity of ``topo`` in ``mode`` over the scenario horizon."""
+@dataclass(frozen=True)
+class World:
+    """The mode-free stage outputs of one (n, seed) run: the evolved graph, the
+    hop counts of its routable sampled flows, and its control packet count."""
+
+    n: int
+    seed: int
+    topology: Topology
+    hops: list[int]
+    packets: int
+
+
+def build_world(cfg: ScenarioConfig, n: int, seed: int) -> World:
+    """Graph and motion (seeds (seed, 1) and (seed, 2, k)), flows (seed, 3), then packets."""
+    topo = evolve_topology(cfg, n, seed)
+    hops = _sample_hops(cfg, topo, derive_seed(seed, 3))
+    packets = cap.pairwise_packet_count(topo, cfg.mean_speed_mps(), cfg.overhead, cfg.sim_duration_s)
+    return World(n, seed, topo, hops, packets)
+
+
+def capacity_breakdown(cfg: ScenarioConfig, mode: str, world: World) -> cap.CapacityBreakdown:
+    """Effective capacity of ``world`` in ``mode`` over the scenario horizon."""
     return cap.effective_capacity(
-        mode, topo, cfg.topology.node_capacity_bps, cfg.mean_speed_mps(), cfg.overhead,
+        mode, world.n, world.packets, cfg.topology.node_capacity_bps, cfg.overhead,
         cfg.controller_capacity_bps, cfg.sim_duration_s,
+    )
+
+
+def evaluate(cfg: ScenarioConfig, world: World, mode: str) -> MetricsReport:
+    """The controller queue (SDN only, seed (seed, 4)), the closed-form models and the report;
+    ``world`` must come from ``build_world`` on this ``cfg``, and serves both modes."""
+    _check_mode(mode)
+    n, hops, params, break_rate = world.n, world.hops or [1], cfg.routing, rediscovery_rate(cfg, world.n)
+    if mode == "sdn":
+        per_flow = [rt.latency_sdn(params, h) for h in hops]
+        latency_max = ctl.max_latency_model(n, cfg.controller)
+        repair_ms = rt.sdn_update_time(params)
+        backlog = float(ctl.simulate_queue(n, cfg.controller, derive_seed(world.seed, 4)).final_backlog)
+        usage = [res.utilization(kind, n, cfg.resources) for kind in res.RESOURCE_KINDS]
+    else:
+        per_flow = [rt.latency_manet(params, h, cfg.latency_window_s, break_rate) for h in hops]
+        latency_max = max(per_flow)
+        repair_ms = rt.update_time(params)
+        backlog, usage = 0.0, [0.0] * len(RESOURCE_COLUMNS)
+    routable_fraction = len(world.hops) / cfg.flow_samples if n > 1 else 1.0
+    pdr = pdr_model(break_rate, repair_ms) * routable_fraction
+    breakdown = capacity_breakdown(cfg, mode, world)
+    throughput = throughput_model(mode, breakdown.effective, n * cfg.per_node_demand_bps, pdr,
+                                  cfg.eta_optimization)
+    return MetricsReport(
+        n=n, mode=mode, latency_avg_ms=sum(per_flow) / len(per_flow), latency_max_ms=latency_max,
+        throughput_bps=throughput, pdr=pdr,
+        control_overhead_bits=rt.control_overhead(mode, world.topology, params, cfg.sim_duration_s, break_rate),
+        queue_backlog=backlog, effective_capacity_bps=breakdown.effective,
+        **dict(zip(RESOURCE_COLUMNS, usage)), saturated=breakdown.saturated,
     )
 
 
 def run_scenario(cfg: ScenarioConfig, n: int, mode: str, seed: int) -> MetricsReport:
     """Evaluate every model for one (node count, mode, seed) combination."""
     cfg.validate()
-    if n < 1:
-        raise ValueError("node count must be at least 1")
     _check_mode(mode)
-
-    topo = evolve_topology(cfg, n, seed)
-    hops, flows_total = _sample_hops(cfg, topo, derive_seed(seed, 3))
-    routable_fraction = len(hops) / flows_total if flows_total else 1.0
-
-    params, break_rate = cfg.routing, rediscovery_rate(cfg, n)
-    if mode == "sdn":
-        per_flow = [rt.latency_sdn(params, h) for h in (hops or [1])]
-        latency_max = ctl.max_latency_model(n, cfg.controller)
-        repair_ms = rt.sdn_update_time(params)
-        backlog = float(ctl.simulate_queue(n, cfg.controller, derive_seed(seed, 4)).final_backlog)
-        usage = [res.utilization(kind, n, cfg.resources) for kind in res.RESOURCE_KINDS]
-    else:
-        per_flow = [rt.latency_manet(params, h, cfg.latency_window_s, break_rate) for h in (hops or [1])]
-        latency_max = max(per_flow)
-        repair_ms = rt.update_time(params)
-        backlog, usage = 0.0, [0.0] * len(RESOURCE_COLUMNS)
-    pdr = pdr_model(break_rate, repair_ms) * routable_fraction
-    breakdown = capacity_breakdown(cfg, mode, topo)
-    throughput = throughput_model(mode, breakdown.effective, n * cfg.per_node_demand_bps, pdr,
-                                  cfg.eta_optimization)
-    return MetricsReport(
-        n=n,
-        mode=mode,
-        latency_avg_ms=sum(per_flow) / len(per_flow),
-        latency_max_ms=latency_max,
-        throughput_bps=throughput,
-        pdr=pdr,
-        control_overhead_bits=rt.control_overhead(mode, topo, params, cfg.sim_duration_s, break_rate),
-        queue_backlog=backlog,
-        effective_capacity_bps=breakdown.effective,
-        **dict(zip(RESOURCE_COLUMNS, usage)),
-        saturated=breakdown.saturated,
-    )
+    return evaluate(cfg, build_world(cfg, n, seed), mode)
 
 
 def _mean_reports(reports: list[MetricsReport]) -> MetricsReport:
@@ -322,7 +338,8 @@ def sweep(cfg: ScenarioConfig) -> list[tuple[MetricsReport, MetricsReport]]:
                 try:
                     per_mode[mode].append(run_scenario(cfg, n, mode, run_seed))
                 except ValueError as exc:
-                    raise ValueError(f"sweep point n={n}, seed={run_seed}, mode={mode}: {exc}") from exc
+                    raise ValueError(f"sweep point n={n}, seed={run_seed}, mode={mode}: {exc}; replay: "
+                                     f"sdnmanet simulate <config> --n {n} --mode {mode} --seed {run_seed}") from exc
         pairs.append((_mean_reports(per_mode["traditional"]), _mean_reports(per_mode["sdn"])))
     return pairs
 

@@ -20,13 +20,15 @@ from sdnmanet.controller import ControllerConfig, fluid_backlog, max_latency_mod
 from sdnmanet.econ import AllocationState, CostParams, RiskProfile, allocation_cost, crossover_n, security_risk
 from sdnmanet.resources import RESOURCE_KINDS, ResourceCurveParams, first_bottleneck, utilization
 from sdnmanet.rng import derive_seed
-from sdnmanet.routing import PathCostWeights, sdn_path_cost
-from sdnmanet.simulator import ScenarioConfig, compare, sweep
-from sdnmanet.topology import NoRouteError, generate_erdos_renyi
+from sdnmanet.routing import PathCostWeights, sdn_path_cost, sdn_update_time, update_time
+from sdnmanet.simulator import (MODES, ScenarioConfig, build_world, capacity_breakdown, compare, pdr_model,
+                                rediscovery_rate, sweep)
+from sdnmanet.topology import NoRouteError, generate_erdos_renyi, route_costs
 
+from golden.regen import stage_digests
 from test_econ import closed_form_crossover
 from test_simulator import r_squared
-from test_topology import brute_force_min_cost
+from test_topology import brute_force_min_cost, route_or_none
 
 #: The reference sweep's outputs (calibrated defaults, seed 42): both CSV
 #: files verbatim and the SHA-256 of each chart, in ``sha256sum`` format.
@@ -106,9 +108,13 @@ def test_criterion_05_routing_cost_oracle():
         else:
             got = sdn_path_cost(t, PathCostWeights(weights), src, dst)
             assert got == pytest.approx(expected[0], rel=1e-12)
+        # The sweep's router, searching and off route_costs: the least route, its int cost, or none.
+        unit = brute_force_min_cost(t, src, dst, dict.fromkeys(range(n), 1))
+        routed = unit and (list(unit[1]), unit[0], int)
+        assert route_or_none(t, src, dst) == route_or_none(t, src, dst, route_costs(t, dst)) == routed
         agreements += 1
     assert agreements == 200
-    print("ACCEPTANCE 5 PASS: central path cost equals exhaustive minimum on 200/200 graphs")
+    print("ACCEPTANCE 5 PASS: path costs and the sweep's routes equal the exhaustive minimum on 200/200 graphs")
 
 
 def test_criterion_06_control_overhead_dominance(default_sweep):
@@ -130,6 +136,23 @@ def test_criterion_07_calibrated_headline(default_sweep):
     print(f"ACCEPTANCE 7 PASS: headline at n=50 -> capex -{headline.capex_reduction:.1%}, "
           f"opex -{headline.opex_reduction:.1%}, latency -{headline.latency_reduction:.1%}, "
           f"throughput x{headline.throughput_gain:.3f}")
+
+
+def test_throughput_gain_is_a_closed_form_exactly_where_no_capacity_binds(default_sweep):
+    # Both modes of a run share its routable fraction, so the seed means cancel it: the gain
+    # is eta * pdr(sdn) / pdr(traditional), unless some run's capacity is below its load.
+    cfg, pairs = default_sweep
+    free = []
+    for i, row in enumerate(compare(pairs, cfg.costs, cfg.reference_n).rows):
+        worlds = [build_world(cfg, row.n, derive_seed(cfg.seed, i, k)) for k in range(cfg.seeds_per_point)]
+        load = row.n * cfg.per_node_demand_bps
+        if all(capacity_breakdown(cfg, m, w).effective >= load for w in worlds for m in MODES):
+            free.append(row.n)
+        rate = rediscovery_rate(cfg, row.n)
+        closed = (cfg.eta_optimization * pdr_model(rate, sdn_update_time(cfg.routing))
+                  / pdr_model(rate, update_time(cfg.routing)))
+        assert math.isclose(row.throughput_gain, closed, rel_tol=1e-12) == (row.n in free), f"n={row.n}"
+    assert free == [20, 50, 80]
 
 
 def test_criterion_08_capacity_claims():
@@ -239,3 +262,11 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
     assert max(durations) < 60.0
     print(f"ACCEPTANCE 11 PASS: byte-identical outputs across runs and against the golden "
           f"pin ({len(names)} files); sweep times {durations[0]:.1f} s / {durations[1]:.1f} s")
+
+
+def test_no_stage_of_a_reference_sweep_world_moved():
+    # Names the first world and stage whose output moved; tests/golden/regen.py re-pins them.
+    pinned, now = (GOLDEN / "stages.sha256").read_text(encoding="utf-8").splitlines(), stage_digests()
+    moved = next((old.split("  ")[1] for old, new in zip(pinned, now) if old != new), None)
+    assert moved is None, f"first moved: {moved}"
+    assert len(pinned) == len(now) == 70 * 5

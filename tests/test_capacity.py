@@ -16,6 +16,7 @@ from sdnmanet.capacity import (
     max_supported_nodes,
     pairwise_packet_count,
 )
+from sdnmanet.simulator import ScenarioConfig, build_world, capacity_breakdown
 from sdnmanet.topology import Topology, generate_erdos_renyi
 
 from reference_run import from_records, per_edge_packet_count
@@ -105,25 +106,27 @@ def test_pairwise_packets_grow_with_speed_and_coefficient():
 
 # ------------------------------------------------------- capacity breakdowns
 
-def breakdown(mode, node_capacity, controller, packet_bits, flood=1.5, mean_speed=1.0, window_s=1.0):
-    """``effective_capacity`` of two linked nodes 1 m apart at pair
-    coefficient 1: one packet of ``packet_bits`` per second per m/s of
-    ``mean_speed``, before the flooding multiplier."""
-    params = OverheadParams(packet_size_bits=packet_bits, pair_coefficient=1.0, flood_multiplier=flood)
-    return effective_capacity(mode, two_node_topology(1.0), node_capacity, mean_speed, params, controller, window_s)
+def breakdown(mode, node_capacity, controller, packet_bits, flood=1.5, packets=1, window_s=1.0):
+    """``effective_capacity`` of two nodes sending ``packets`` packets of ``packet_bits`` in ``window_s``."""
+    params = OverheadParams(packet_size_bits=packet_bits, flood_multiplier=flood)
+    return effective_capacity(mode, 2, packets, node_capacity, params, controller, window_s)
 
 
 def test_overhead_bits_packet_size_product():
-    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=10.0).overhead == 5120.0
-    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=10.0, window_s=4.0).overhead == 5120.0
-    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=0.0).overhead == 0.0
-    assert breakdown("sdn", 1.0, 0.0, 512, mean_speed=1000.0).overhead == 512_000.0
+    assert breakdown("sdn", 1.0, 0.0, 512, packets=10).overhead == 5120.0
+    assert breakdown("sdn", 1.0, 0.0, 512, packets=40, window_s=4.0).overhead == 5120.0
+    assert breakdown("sdn", 1.0, 0.0, 512, packets=0).overhead == 0.0
+    assert breakdown("sdn", 1.0, 0.0, 512, packets=1000).overhead == 512_000.0
 
 
 def test_overhead_bits_rejects_negative_count():
     # A negative mean speed would make a negative packet count.
-    with pytest.raises(ValueError, match="mean speed must be non-negative"):
-        breakdown("sdn", 1.0, 0.0, 512, mean_speed=-1.0)
+    with pytest.raises(ValueError, match="^mean speed must be non-negative$"):
+        pairwise_packet_count(two_node_topology(1.0), -1.0, OverheadParams(), 1.0)
+    with pytest.raises(ValueError, match="packet count must be non-negative"):
+        breakdown("sdn", 1.0, 0.0, 512, packets=-1)
+    with pytest.raises(ValueError, match="window positive"):
+        breakdown("sdn", 1.0, 0.0, 512, window_s=0.0)
 
 
 def test_capacity_sdn_subtracts_overhead():
@@ -134,16 +137,13 @@ def test_capacity_sdn_subtracts_overhead():
 
 
 def test_capacity_sdn_clamps_to_zero_and_flags():
-    b = breakdown("sdn", 50.0, 50.0, 300)
-    assert b.effective == 0.0
-    assert b.saturated
-    b = breakdown("traditional", 50.0, 50.0, 100)  # 150 b/s of flooding
-    assert b.effective == 0.0
-    assert b.saturated
+    for mode, packet_bits in (("sdn", 300), ("traditional", 100)):  # traditional: 150 b/s of flooding
+        b = breakdown(mode, 50.0, 50.0, packet_bits)
+        assert (b.effective, b.saturated) == (0.0, True)
 
 
 def test_capacity_sdn_no_overhead_sums_everything():
-    b = breakdown("sdn", 150.0, 50.0, 512, mean_speed=0.0)
+    b = breakdown("sdn", 150.0, 50.0, 512, packets=0)
     assert b.effective == 350.0
 
 
@@ -178,13 +178,14 @@ def test_effective_capacity_rejects_negative_capacities(node_capacity, controlle
 @pytest.mark.parametrize("argument", ["node_capacity", "controller", "mean_speed"])
 def test_effective_capacity_rejects_a_nan_capacity_or_speed(argument):
     # A NaN would pass a "< 0" guard and report an empty network: max(0.0, nan) is 0.0.
-    arguments = {"node_capacity": 1.0, "controller": 1.0, "mean_speed": 1.0, argument: math.nan}
+    # The packet count reads the mean speed, and checks it.
+    values = {"node_capacity": 1.0, "controller": 1.0, "mean_speed": 1.0, argument: math.nan}
+    message = "mean speed" if argument == "mean_speed" else "capacities and packet count"
     for mode in ("sdn", "traditional"):
-        with pytest.raises(ValueError, match="capacities and mean speed must be non-negative"):
-            breakdown(mode, packet_bits=512, **arguments)
-    with pytest.raises(ValueError, match="capacities and mean speed must be non-negative"):
-        max_supported_nodes("sdn", 1.0, math.nan, OverheadParams(), lambda n: generate_erdos_renyi(n, 0.3, seed=1),
-                            mean_speed=1.0, controller_capacity=1.0, n_max=5)
+        with pytest.raises(ValueError, match=f"^{message} must be non-negative"):
+            max_supported_nodes(mode, 1.0, values["node_capacity"], OverheadParams(),
+                                lambda n: generate_erdos_renyi(n, 0.3, seed=1), values["mean_speed"],
+                                controller_capacity=values["controller"], n_max=5)
 
 
 def test_capacity_total_sums():
@@ -207,15 +208,11 @@ def test_clustered_sliced_capacity_rejects_a_bad_baseline(baseline):
 
 
 def test_sdn_capacity_beats_traditional_from_30_nodes():
-    from sdnmanet.simulator import ScenarioConfig
-
     cfg = ScenarioConfig()
     for n in range(30, 201, 10):
-        t = generate_erdos_renyi(n, cfg.topology.link_probability, seed=n)
-        sdn, trad = (effective_capacity(mode, t, cfg.topology.node_capacity_bps, cfg.mean_speed_mps(),
-                                        cfg.overhead, cfg.controller_capacity_bps, 1.0)
-                     for mode in ("sdn", "traditional"))
-        assert sdn.effective > trad.effective
+        world = build_world(cfg, n, seed=n)
+        sdn, trad = (capacity_breakdown(cfg, mode, world).effective for mode in ("sdn", "traditional"))
+        assert sdn > trad
 
 
 # -------------------------------------------------------- supportable nodes
@@ -259,8 +256,8 @@ def test_supported_nodes_match_an_exhaustive_scan(mode, demand, controller):
     gen = _generator(p=0.1)
     supported = [
         n for n in range(1, 61)
-        if effective_capacity(mode, gen(n), 15_000.0, 5.5, OverheadParams(), controller, 1.0).effective
-        >= n * demand
+        if effective_capacity(mode, n, pairwise_packet_count(gen(n), 5.5, OverheadParams(), 1.0), 15_000.0,
+                              OverheadParams(), controller, 1.0).effective >= n * demand
     ]
     assert any(n not in supported for n in range(1, max(supported)))  # not monotone
     result = max_supported_nodes(

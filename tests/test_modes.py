@@ -14,7 +14,8 @@ import pytest
 
 from sdnmanet.capacity import OverheadParams, effective_capacity, max_supported_nodes
 from sdnmanet.routing import RoutingParams, control_overhead
-from sdnmanet.simulator import ScenarioConfig, capacity_breakdown, run_scenario, throughput_model
+from sdnmanet.simulator import (ScenarioConfig, TopologySettings, build_world, capacity_breakdown, evaluate,
+                                run_scenario, throughput_model)
 from sdnmanet.topology import generate_erdos_renyi
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdnmanet"
@@ -33,23 +34,21 @@ def mode_functions():
     return found
 
 
-def world():
-    return generate_erdos_renyi(20, 0.3, seed=1)
-
-
+CFG = ScenarioConfig(flow_samples=10, topology=TopologySettings(link_probability=0.3))
+WORLD = build_world(CFG, 20, seed=1)
 # Valid arguments for every mode-taking function, chosen so that "sdn" and
 # "traditional" give different results.
 VALID_CALLS = {
     "capacity.effective_capacity":
-        lambda mode: effective_capacity(mode, world(), 15_000.0, 1.0, OverheadParams(), 5e6, 1.0),
+        lambda mode: effective_capacity(mode, WORLD.n, WORLD.packets, 15_000.0, OverheadParams(), 5e6, 30.0),
     "capacity.max_supported_nodes":
         lambda mode: max_supported_nodes(mode, 1e5, 15_000.0, OverheadParams(),
                                          lambda n: generate_erdos_renyi(n, 0.3, seed=n),
                                          1.0, controller_capacity=5e6, n_max=10),
-    "routing.control_overhead": lambda mode: control_overhead(mode, world(), RoutingParams(), 1.0, 1.0),
-    "simulator.capacity_breakdown": lambda mode: capacity_breakdown(ScenarioConfig(), mode, world()),
-    "simulator.run_scenario":
-        lambda mode: run_scenario(ScenarioConfig(seeds_per_point=2, flow_samples=10), 10, mode, seed=1),
+    "routing.control_overhead": lambda mode: control_overhead(mode, WORLD.topology, RoutingParams(), 1.0, 1.0),
+    "simulator.capacity_breakdown": lambda mode: capacity_breakdown(CFG, mode, WORLD),
+    "simulator.evaluate": lambda mode: evaluate(CFG, WORLD, mode),
+    "simulator.run_scenario": lambda mode: run_scenario(CFG, 10, mode, seed=1),
     "simulator.throughput_model": lambda mode: throughput_model(mode, 10.0, 5.0, 1.0, 1.2),
 }
 # A function that hands its mode straight to one that checks it.
@@ -59,7 +58,7 @@ CHECKED_BY = {"simulator.capacity_breakdown": "effective_capacity"}
 @pytest.mark.parametrize("name", sorted(mode_functions()))
 def test_every_mode_taker_rejects_an_unknown_mode(name):
     # effective_capacity("SDN", ...) used to price the network as traditional:
-    # 279,264 bit/s on this world, where "sdn" gives 5,286,176.
+    # 209,222.4 bit/s on WORLD, where "sdn" gives 5,239,481.6.
     assert set(VALID_CALLS) == set(mode_functions())
     call = VALID_CALLS[name]
     assert call("sdn") != call("traditional")

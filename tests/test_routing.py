@@ -1,7 +1,6 @@
 """Path cost, update time, latency, and control-overhead model tests."""
 
 import math
-import random
 
 import pytest
 
@@ -17,7 +16,7 @@ from sdnmanet.routing import (
 )
 from sdnmanet.topology import NoRouteError, generate_erdos_renyi
 
-from test_topology import brute_force_min_cost, diamond_topology, line_topology
+from test_topology import diamond_topology, line_topology
 
 
 def params(**overrides):
@@ -64,21 +63,6 @@ def test_sdn_path_cost_rounds_each_sum_from_the_source():
     weights = PathCostWeights({0: 2.0**53, 1: 0.5, 2: 0.5})
     assert sdn_path_cost(line_topology(), weights, 0, 2) == 2.0**53
     assert sdn_path_cost(line_topology(), weights, 2, 0) == 2.0**53 + 2
-
-
-def test_sdn_path_cost_matches_brute_force():
-    rng = random.Random(777)
-    for trial in range(60):
-        n = rng.randint(2, 8)
-        t = generate_erdos_renyi(n, rng.uniform(0.4, 1.0), seed=trial + 500)
-        w = {i: rng.uniform(0.5, 4.0) for i in range(n)}
-        src, dst = rng.sample(range(n), 2)
-        expected = brute_force_min_cost(t, src, dst, w)
-        if expected is None:
-            with pytest.raises(NoRouteError):
-                sdn_path_cost(t, PathCostWeights(w), src, dst)
-        else:
-            assert sdn_path_cost(t, PathCostWeights(w), src, dst) == pytest.approx(expected[0])
 
 
 def test_path_weights_must_be_positive():

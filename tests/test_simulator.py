@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 
 from sdnmanet import controller as ctl
 from sdnmanet import simulator
+from sdnmanet.cli import main
 from sdnmanet.controller import fluid_backlog
 from sdnmanet.config import _REGISTRY, parse_config
 from sdnmanet.econ import CostParams
 from sdnmanet.rng import derive_seed
 from sdnmanet.simulator import (
     ComparisonRow,
+    MODES,
     MetricsReport,
     ScenarioConfig,
+    SweepSettings,
     TopologySettings,
     _sample_hops,
+    build_world,
     compare,
+    evaluate,
     pdr_model,
     rediscovery_rate,
     run_scenario,
@@ -35,10 +40,7 @@ from reference_run import reference_hops, reference_run
 
 def small_config(**overrides) -> ScenarioConfig:
     """Default scenario shrunk for unit-test speed."""
-    cfg = ScenarioConfig(seeds_per_point=2, flow_samples=10)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return ScenarioConfig(**{"seeds_per_point": 2, "flow_samples": 10, **overrides})
 
 
 def r_squared(xs, ys):
@@ -160,9 +162,7 @@ def test_default_sweep_points():
 
 
 def test_single_point_sweep():
-    cfg = small_config()
-    cfg.sweep = dataclasses.replace(cfg.sweep, start=25, end=25, step=30)
-    pairs = sweep(cfg)
+    pairs = sweep(small_config(sweep=SweepSettings(25, 25, 30)))
     assert len(pairs) == 1
     assert pairs[0][0].n == pairs[0][1].n == 25
 
@@ -221,23 +221,26 @@ def test_sweep_queue_backlog_grows_linearly(small_sweep):
 
 
 def test_sweep_is_deterministic():
-    cfg = ScenarioConfig(seeds_per_point=2, flow_samples=8)
-    cfg.sweep = dataclasses.replace(cfg.sweep, start=20, end=80, step=30)
-    again = ScenarioConfig(seeds_per_point=2, flow_samples=8)
-    again.sweep = dataclasses.replace(again.sweep, start=20, end=80, step=30)
+    cfg, again = (small_config(flow_samples=8, sweep=SweepSettings(20, 80, 30)) for _ in range(2))
     assert sweep(cfg) == sweep(again)
 
 
-def test_sweep_error_names_point_seed_and_mode(monkeypatch):
+def test_sweep_error_names_point_seed_and_mode(monkeypatch, tmp_path, capsys):
     def broken_queue(n, cfg, seed):
-        raise ValueError("queue exploded")
+        raise ValueError(f"queue exploded at seed {seed}")
 
     monkeypatch.setattr(ctl, "simulate_queue", broken_queue)
-    cfg = small_config()
-    cfg.sweep = dataclasses.replace(cfg.sweep, start=25, end=25, step=30)
+    config = tmp_path / "one_point.cfg"
+    config.write_text("seeds_per_point = 2\nflow_samples = 10\nsweep.start = 25\nsweep.end = 25\n")
     with pytest.raises(ValueError) as info:
-        sweep(cfg)
-    assert str(info.value) == f"sweep point n=25, seed={derive_seed(cfg.seed, 0, 0)}, mode=sdn: queue exploded"
+        sweep(parse_config(config))
+    run_seed = derive_seed(42, 0, 0)
+    cause, replay = (f"queue exploded at seed {derive_seed(run_seed, 4)}",
+                     f"sdnmanet simulate <config> --n 25 --mode sdn --seed {run_seed}")
+    assert str(info.value) == f"sweep point n=25, seed={run_seed}, mode=sdn: {cause}; replay: {replay}"
+    # The replay command reruns exactly that run.
+    assert main([str(config) if word == "<config>" else word for word in replay.split()[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {cause}\n"
 
 
 def test_every_run_of_the_reference_sweep_has_its_own_seed(monkeypatch):
@@ -247,11 +250,8 @@ def test_every_run_of_the_reference_sweep_has_its_own_seed(monkeypatch):
 
     def record(cfg, n, mode, seed):
         runs.append((n, mode, seed))
-        return MetricsReport(
-            n=n, mode=mode, latency_avg_ms=0.0, latency_max_ms=0.0, throughput_bps=0.0, pdr=0.0,
-            control_overhead_bits=0.0, queue_backlog=0.0, effective_capacity_bps=0.0,
-            cpu_pct=0.0, mem_pct=0.0, net_pct=0.0, storage_pct=0.0, saturated=False,
-        )
+        zeros = {f.name: 0.0 for f in dataclasses.fields(MetricsReport) if f.type == "float"}
+        return MetricsReport(n=n, mode=mode, saturated=False, **zeros)
 
     monkeypatch.setattr(simulator, "run_scenario", record)
     sweep(parse_config(Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"))
@@ -334,8 +334,8 @@ def test_sampled_hops_match_a_per_flow_replay_with_explicit_unit_weights(n, flow
     trees = []
     monkeypatch.setattr(simulator, "route_costs", lambda t, dst: trees.append(dst) or route_costs(t, dst))
     topo = generate_erdos_renyi(n, 0.03, seed=11)
-    hops, total = _sample_hops(small_config(flow_samples=flows), topo, 5)
-    assert total == flows and hops == reference_hops(topo, flows, 5)
+    hops = _sample_hops(small_config(flow_samples=flows), topo, 5)
+    assert hops == reference_hops(topo, flows, 5)
     assert max(hops) > 2
     assert (len(trees) > 0) == (flows == 1000) and len(trees) == len(set(trees))
 
@@ -367,19 +367,24 @@ def exact_fields(report):
 @example(n=40, p=1.0, speeds=(1.0, 10.0), dt=1.0, duration=30.0, flows=60, load=(10.0, 20.0),
          mode="traditional", seed=3)  # saturated by flooding
 def test_run_scenario_matches_the_reference_run(n, p, speeds, dt, duration, flows, load, mode, seed):
-    # Every field agrees bit for bit. The backlog agrees when the exact queue ends empty;
+    # Every field agrees bit for bit, for run_scenario and for both modes evaluated on one
+    # shared world in either order. The backlog agrees when the exact queue ends empty;
     # otherwise a request is in service at the horizon and the fast queue draws the rest as
     # one Poisson count, whose law test_controller.py checks by a Kolmogorov-Smirnov test.
     cfg = ScenarioConfig(sim_duration_s=duration, flow_samples=flows,
                          topology=TopologySettings(link_probability=p, speed_min_mps=speeds[0],
                                                    speed_max_mps=speeds[1], mobility_step_s=dt),
                          controller=ctl.ControllerConfig(*load, sim_duration_s=duration))
-    got, expected = exact_fields(run_scenario(cfg, n, mode, seed)), exact_fields(reference_run(cfg, n, mode, seed))
-    ended_empty = expected["queue_backlog"] == float.hex(0.0)
-    assert (got["queue_backlog"] == float.hex(0.0)) == ended_empty
-    if not ended_empty:
-        del got["queue_backlog"], expected["queue_backlog"]
-    assert got == expected
+    (other,), world = set(MODES) - {mode}, build_world(cfg, n, seed)
+    runs = [(mode, run_scenario(cfg, n, mode, seed))] + [(m, evaluate(cfg, world, m)) for m in (mode, other, mode)]
+    expected = {m: exact_fields(reference_run(cfg, n, m, seed)) for m in MODES}
+    for m, report in runs:
+        got, want = exact_fields(report), dict(expected[m])
+        ended_empty = want["queue_backlog"] == float.hex(0.0)
+        assert (got["queue_backlog"] == float.hex(0.0)) == ended_empty
+        if not ended_empty:
+            del got["queue_backlog"], want["queue_backlog"]
+        assert got == want
 
 
 def build_with(path, value):

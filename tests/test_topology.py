@@ -727,26 +727,6 @@ def test_shortest_path_unreachable_raises():
         shortest_path(t, 0, 3)
 
 
-def test_shortest_path_matches_exhaustive_oracle():
-    rng = random.Random(4242)
-    for trial in range(100):
-        n = rng.randint(2, 8)
-        t = generate_erdos_renyi(n, rng.uniform(0.3, 0.9), seed=trial)
-        random_weights = {i: rng.uniform(0.1, 5.0) for i in range(n)}
-        src, dst = rng.sample(range(n), 2)
-        # Unit weights tie many routes, so brute force checks the tie-break.
-        expected = brute_force_min_cost(t, src, dst, {i: 1 for i in range(n)})
-        if expected is None:
-            with pytest.raises(NoRouteError):
-                shortest_path(t, src, dst)
-            with pytest.raises(NoRouteError):
-                sdn_path_cost(t, PathCostWeights(random_weights), src, dst)
-            continue
-        assert shortest_path(t, src, dst) == (list(expected[1]), expected[0])
-        weighted = brute_force_min_cost(t, src, dst, random_weights)[0]
-        assert sdn_path_cost(t, PathCostWeights(random_weights), src, dst) == pytest.approx(weighted, rel=1e-12)
-
-
 def route_or_none(*args):
     """``shortest_path(*args)``'s route, cost and the cost's type, or None without a route."""
     try:
