@@ -6,10 +6,10 @@ MT19937's ``random()`` output for a given seed is identical on every
 platform and CPython version, so a scenario seed fully determines every
 topology, mobility trace, and queue realization, bit for bit.
 
-Only ``random()`` is consumed directly; uniform draws, index draws,
-Poisson arrival times and Poisson counts are derived from it here so the
-draw sequence never depends on library internals that carry weaker
-stability guarantees.
+Only ``random()`` is consumed directly; index draws, Poisson arrival
+times and Poisson counts are derived from it here, and uniform draws are
+``low + (high - low) * random()`` where they are made, so the draw
+sequence never depends on library internals with weaker stability guarantees.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ def derive_seed(seed: int, *salts: int) -> int:
         h = (h * 0x94D049BB133111EB) & _MASK64
         h ^= h >> 31
     return h
-
-
-def uniform_in(rng: random.Random, low: float, high: float) -> float:
-    """One uniform draw in [low, high)."""
-    return low + (high - low) * rng.random()
 
 
 def arrival_times(rng: random.Random, rate: float, horizon: float) -> Iterator[float]:

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import groupby, repeat
 
-from .rng import uniform_in
-
 # Floor on edge weights, so coincident nodes never give a zero-weight link.
 _MIN_EDGE_WEIGHT = 1e-9
 _MOVING = ("positions", "velocities", "waypoints")
@@ -31,11 +29,11 @@ class Topology:
     """Undirected graph over mobile nodes.
 
     Node state is kept as three columns, the ones mobility moves. Edges are
-    unordered pairs ``(a, b)`` with ``a < b``, checked and indexed once at
-    construction; mobility moves the nodes and keeps the edges. The fields are
-    frozen and every column is a tuple (a list passed in is copied), so the
-    index can never describe another graph. A stepped topology computes its
-    moving columns on first read (``__getattr__``).
+    unordered pairs ``(a, b)`` with ``a < b``; the generator indexes them as it
+    draws, ``Topology(...)`` checks and indexes only graphs from outside, and
+    mobility keeps edges and index. The fields are frozen and every column is a
+    tuple (a list passed in is copied), so the index can never describe another
+    graph. A stepped topology computes its moving columns on first read (``__getattr__``).
     """
 
     positions: tuple[tuple[float, float], ...]    # meters
@@ -53,20 +51,16 @@ class Topology:
             if len(column) != n:
                 raise ValueError(f"{name} has {len(column)} entries, positions has {n}")
             object.__setattr__(self, name, column)
-        a_ends, b_ends = zip(*edges) if edges else ((), ())  # whole-list checks, in C
-        if not (all(map(operator.lt, a_ends, b_ends)) and min(a_ends, default=0) >= 0
-                and max(b_ends, default=0) < n and len(set(edges)) == len(edges)):
-            seen: set[tuple[int, int]] = set()  # name the first bad edge, one at a time
-            for a, b in edges:
-                if a == b:
-                    raise ValueError(f"self-loop on node {a}")
-                if not (0 <= a < b < n):
-                    raise ValueError(f"edge ({a}, {b}) has invalid endpoints for n={n}")
-                if (a, b) in seen:
-                    raise ValueError(f"duplicate edge ({a}, {b})")
-                seen.add((a, b))
         neighbors: list[list[int]] = [[] for _ in range(n)]
-        for a, b in edges:
+        seen: set[tuple[int, int]] = set()
+        for a, b in edges:  # name the first bad edge
+            if a == b:
+                raise ValueError(f"self-loop on node {a}")
+            if not (0 <= a < b < n):
+                raise ValueError(f"edge ({a}, {b}) has invalid endpoints for n={n}")
+            if (a, b) in seen:
+                raise ValueError(f"duplicate edge ({a}, {b})")
+            seen.add((a, b))
             neighbors[a].append(b)
             neighbors[b].append(a)
         object.__setattr__(self, "_adjacency", tuple(map(tuple, map(sorted, neighbors))))
@@ -100,7 +94,7 @@ class Topology:
                 if reach >= (left := hypot(px - wx, py - wy)):  # arrived: land on the waypoint, pick the next leg
                     px, py, leg_dt = wx, wy, 0.0
                     draw = draws[k] = draws[k] or random.Random(seed).random
-                    wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # uniform_in(rng, 0.0, side)
+                    wx, wy = 0.0 + width * draw(), 0.0 + height * draw()  # as the generator places nodes
                     speed = lo + (hi - lo) * draw() if hi > lo else lo
                     leg = hypot(px - wx, py - wy)
                     vx, vy = (((wx - px) / leg * speed, (wy - py) / leg * speed)
@@ -137,6 +131,13 @@ class Topology:
         return {(a, b): max(dist(pos[a], pos[b]), _MIN_EDGE_WEIGHT) for a, b in self.edges}
 
 
+def _unchecked(**fields: object) -> Topology:
+    """A ``Topology`` of fields valid by construction, set without the constructor's check and index."""
+    t = object.__new__(Topology)
+    vars(t).update(fields)
+    return t
+
+
 def _check_node(t: Topology, i: int) -> None:
     if not isinstance(i, int) or not 0 <= i < len(t._degree):
         raise IndexError(f"node {i} not in topology of {len(t._degree)} nodes")
@@ -162,12 +163,13 @@ def generate_erdos_renyi(
     for name, side in zip(("width", "height"), area):
         if not 0.0 < side < math.inf:
             raise ValueError(f"area {name} must be positive and finite, got {side}")
-    rng = random.Random(seed)
-    positions = tuple([(uniform_in(rng, 0.0, area[0]), uniform_in(rng, 0.0, area[1])) for _ in range(n)])
+    (width, height), draw = area, random.Random(seed).random
+    positions = tuple([(0.0 + width * draw(), 0.0 + height * draw()) for _ in range(n)])
     edges: list[tuple[int, int]] = []
+    neighbors: list[list[int]] = [[] for _ in range(n)]
     if p > 0.0:  # skip sampling (Batagelj & Brandes 2005): one geometric gap draw per edge
         pairs, a, b, last = n * (n - 1) // 2, 0, 0, n - 1  # (a, b) walks the pairs in lexicographic order
-        log_q, log, draw = (math.log1p(-p) if p < 1.0 else -math.inf), math.log, rng.random
+        log_q, log = (math.log1p(-p) if p < 1.0 else -math.inf), math.log
         while (gap := log(1.0 - draw()) / log_q) < pairs:  # an infinite gap never reaches int()
             b += 1 + int(gap)
             while b > last and a < last:  # carry into row a + 1, whose first pair is (a + 1, a + 2)
@@ -176,7 +178,10 @@ def generate_erdos_renyi(
             if a == last:  # the carry passed the last row
                 break
             edges.append((a, b))
-    return Topology(positions, ((0.0, 0.0),) * n, positions, tuple(edges), area)
+            neighbors[a].append(b)  # pairs come in lexicographic order, so every list ascends
+            neighbors[b].append(a)
+    return _unchecked(positions=positions, velocities=((0.0, 0.0),) * n, waypoints=positions, edges=tuple(edges),
+                      area=area, _adjacency=tuple(map(tuple, neighbors)), _degree=tuple(map(len, neighbors)))
 
 
 def step_mobility(
@@ -203,10 +208,8 @@ def step_mobility(
         raise ValueError("dt must be positive")
     if not 0.0 <= lo <= hi:
         raise ValueError(f"speed range must satisfy 0 <= min <= max, got {speed_range}")
-    stepped = object.__new__(Topology)  # t's edges and index, unchecked: mobility keeps them
-    vars(stepped).update({k: v for k, v in vars(t).items() if k not in _MOVING},
-                         _pending=(t, (dt, lo, hi, seed)))
-    return stepped
+    return _unchecked(edges=t.edges, area=t.area, _adjacency=t._adjacency, _degree=t._degree,
+                      _pending=(t, (dt, lo, hi, seed)))  # mobility keeps t's edges and index
 
 
 def distance(t: Topology, a: int, b: int) -> float:

@@ -138,6 +138,18 @@ def test_criterion_07_calibrated_headline(default_sweep):
           f"throughput x{headline.throughput_gain:.3f}")
 
 
+def test_criterion_07_latency_half_holds_on_master_seeds_0_to_9():
+    # The headline is the model's, not seed 42's: each master seed reseeds all 140 runs.
+    # Seeds 0-39 were measured before this test was written (mean 0.3957, sd 0.0072).
+    reductions = []
+    for seed in range(10):
+        cfg = ScenarioConfig(seed=seed)
+        reductions.append(compare(sweep(cfg), cfg.costs, cfg.reference_n).headline.latency_reduction)
+        assert reductions[-1] == pytest.approx(0.40, abs=0.03), f"seed={seed}"
+    print(f"ACCEPTANCE 7 PASS: latency -{min(reductions):.1%}..-{max(reductions):.1%} "
+          f"at n=50 on master seeds 0-9")
+
+
 def test_throughput_gain_is_a_closed_form_exactly_where_no_capacity_binds(default_sweep):
     # Both modes of a run share its routable fraction, so the seed means cancel it: the gain
     # is eta * pdr(sdn) / pdr(traditional), unless some run's capacity is below its load.

@@ -269,6 +269,8 @@ def test_skip_sampling_keeps_positions_and_walks_every_pair(n, p, seed, area):
     t, expected = generate_erdos_renyi(n, p, seed, area=area), reference_graph(n, p, seed, area)
     assert exact_columns(t) == exact_columns(expected) and t.edges == expected.edges
     assert list(t.edges) == sorted(set(t.edges))  # unique, a < b, lexicographic
+    # The generator indexes as it draws; the oracle's index comes from the checked constructor.
+    assert t._adjacency == expected._adjacency and t._degree == expected._degree
 
 
 @pytest.mark.parametrize("p", [5e-324, 1e-300])
@@ -339,6 +341,8 @@ def test_mobility_recomputes_edge_weights_from_distances():
 
 
 def test_mobility_checks_the_graph_only_at_construction(monkeypatch):
+    # Topology(...) checks and indexes a graph from outside, once. The generator builds
+    # its index as it draws and a mobility step shares its input's, so neither checks.
     checked = []
     check = Topology.__post_init__
 
@@ -347,10 +351,15 @@ def test_mobility_checks_the_graph_only_at_construction(monkeypatch):
         check(t)
 
     monkeypatch.setattr(Topology, "__post_init__", counted)
-    t = generate_erdos_renyi(30, 0.2, seed=4)
-    for step in range(5):
-        t = step_mobility(t, 1.0, (1.0, 5.0), seed=step)
-    assert checked == [30]
+    outside = line_topology()
+    assert checked == [3]
+    for t in (outside, generate_erdos_renyi(30, 0.2, seed=4)):
+        stepped = t
+        for step in range(5):
+            stepped = step_mobility(stepped, 1.0, (1.0, 5.0), seed=step)
+        assert len(stepped.positions) == len(t.positions)  # walked
+        assert stepped._adjacency is t._adjacency and stepped._degree is t._degree
+    assert checked == [3]
 
 
 @settings(max_examples=60, deadline=None)
